@@ -17,7 +17,8 @@ from repro.core.maxloop import DEFAULT_MARGIN_TABLE, spare_margin
 from repro.nand.chip import NandChip
 from repro.nand.geometry import BlockGeometry, SSDGeometry
 from repro.nand.reliability import AgingState
-from repro.api import run_simulation
+from repro.api import run_spec
+from repro.specs import HostSpec, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 
 STAGES = [
@@ -57,10 +58,16 @@ def system_level() -> None:
         config = SSDConfig(geometry=geometry).with_aging(aging)
         iops = {}
         for ftl in ("page", "cube"):
-            stats = run_simulation(
-                config, "Proxy", ftl=ftl, queue_depth=32,
-                warmup_requests=1000, prefill=0.9, n_requests=4000, seed=7,
-            ).stats
+            spec = SimulationSpec(
+                config=config,
+                workload=WorkloadSpec("Proxy", n_requests=4000),
+                ftl=ftl,
+                host=HostSpec(queue_depth=32),
+                warmup_requests=1000,
+                prefill=0.9,
+                seed=7,
+            )
+            stats = run_spec(spec).stats
             iops[ftl] = stats.iops
         series["pageFTL"].append(iops["page"])
         series["cubeFTL"].append(iops["cube"])

@@ -15,7 +15,8 @@ import time
 from repro.analysis.tables import format_table
 from repro.nand.geometry import BlockGeometry, SSDGeometry
 from repro.nand.reliability import AgingState
-from repro.api import run_simulation
+from repro.api import run_spec
+from repro.specs import HostSpec, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 from repro.workloads import WORKLOAD_GENERATORS
 
@@ -35,11 +36,16 @@ def main(pe: int = 0, retention: float = 0.0, n_requests: int = 6000) -> None:
         start = time.time()
         iops = {}
         for ftl in FTLS:
-            stats = run_simulation(
-                config, workload, ftl=ftl, queue_depth=32,
-                warmup_requests=n_requests // 3, prefill=0.9,
-                n_requests=n_requests, seed=7,
-            ).stats
+            spec = SimulationSpec(
+                config=config,
+                workload=WorkloadSpec(workload, n_requests=n_requests),
+                ftl=ftl,
+                host=HostSpec(queue_depth=32),
+                warmup_requests=n_requests // 3,
+                prefill=0.9,
+                seed=7,
+            )
+            stats = run_spec(spec).stats
             iops[stats.ftl_name] = stats.iops
         base = iops["pageFTL"]
         rows.append([

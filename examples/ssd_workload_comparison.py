@@ -12,9 +12,10 @@ e.g.  python examples/ssd_workload_comparison.py Proxy 2000 12
 import sys
 
 from repro.analysis.tables import format_table
-from repro.api import run_simulation
+from repro.api import run_spec
 from repro.nand.geometry import BlockGeometry, SSDGeometry
 from repro.nand.reliability import AgingState
+from repro.specs import HostSpec, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 
 
@@ -30,10 +31,16 @@ def main(workload: str = "OLTP", pe: int = 0, retention: float = 0.0) -> None:
     rows = []
     base_iops = None
     for ftl in ("page", "vert", "cube"):
-        stats = run_simulation(
-            config, workload, ftl=ftl, queue_depth=32, warmup_requests=2500,
-            prefill=0.9, n_requests=8000, seed=7,
-        ).stats
+        spec = SimulationSpec(
+            config=config,
+            workload=WorkloadSpec(workload, n_requests=8000),
+            ftl=ftl,
+            host=HostSpec(queue_depth=32),
+            warmup_requests=2500,
+            prefill=0.9,
+            seed=7,
+        )
+        stats = run_spec(spec).stats
         if base_iops is None:
             base_iops = stats.iops
         counters = stats.counters

@@ -18,7 +18,10 @@ The package is organized as:
 - :mod:`repro.characterization` -- the Section 3 characterization study.
 - :mod:`repro.analysis` -- CDF / percentile / normalization helpers.
 - :mod:`repro.obs` -- request-lifecycle tracing and time-sliced metrics.
-- :mod:`repro.api` -- the stable :func:`~repro.api.run_simulation` facade.
+- :mod:`repro.specs` -- :class:`~repro.specs.SimulationSpec`, the one
+  description of a run.
+- :mod:`repro.api` -- the stable facade: :func:`~repro.api.run_spec`
+  executes one spec, :func:`~repro.api.run_many` a batch.
 
 The convenience re-exports below resolve lazily so that subpackages can be
 imported independently.
@@ -44,7 +47,6 @@ _EXPORTS = {
     "CubeFTL": "repro.ftl",
     "make_ftl": "repro.ftl",
     "SSDSimulation": "repro.ssd.controller",
-    "run_simulation": "repro.api",
     "SimulationResult": "repro.api",
 }
 
@@ -63,7 +65,7 @@ def __dir__():
 
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis convenience
-    from repro.api import SimulationResult, run_simulation
+    from repro.api import SimulationResult
     from repro.ftl import CubeFTL, PageFTL, VertFTL, make_ftl
     from repro.nand.chip import NandChip
     from repro.nand.geometry import BlockGeometry, PageAddress, SSDGeometry, WLAddress

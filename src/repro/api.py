@@ -1,52 +1,43 @@
-"""Stable high-level entry point: configure, run, observe.
+"""Stable high-level entry point: describe a run, execute it, observe it.
 
-:func:`run_simulation` is the one call every front end goes through
-(CLI, benchmarks, examples, notebooks): it builds the SSD, prefills it,
-replays a workload, and optionally attaches the :mod:`repro.obs`
-tracer and metrics sampler.  Everything it returns is packed into a
-:class:`SimulationResult`, so callers never reach into the simulation
-objects themselves -- the facade is the compatibility surface; the
-internals behind it are free to move.
+A run is one :class:`~repro.specs.SimulationSpec`; :func:`run_spec` is
+the one executor every front end goes through (CLI, benchmarks,
+examples, notebooks): it builds the SSD, prefills it, replays the
+spec's stream, and optionally attaches the :mod:`repro.obs` tracer,
+metrics sampler, telemetry registry and invariant checker.  Everything
+it returns is packed into a :class:`SimulationResult`, so callers never
+reach into the simulation objects themselves -- the facade is the
+compatibility surface; the internals behind it are free to move::
 
-Two call forms, verified byte-identical by the golden-trace suite:
+    spec = SimulationSpec(
+        config=SSDConfig(),
+        workload=WorkloadSpec("OLTP", n_requests=2000),
+        ftl="cube",
+        options=RunOptions(trace="memory"),
+        seed=7,
+    )
+    result = run_spec(spec)
 
-- **Spec form** (preferred): pass one
-  :class:`~repro.specs.SimulationSpec` --
-
-      spec = SimulationSpec(config=SSDConfig(), workload="OLTP",
-                            ftl="cube", seed=7)
-      result = run_simulation(spec)
-
-- **Kwarg form** (back-compat shim): the historical flat signature --
-
-      result = run_simulation(SSDConfig(), "OLTP", ftl="cube",
-                              n_requests=2000, trace="memory")
-
-  It simply builds the equivalent spec (:func:`spec_from_kwargs`) and
-  runs it.
-
-Multi-tenant scenarios, NCQ replay, and trace-file workloads are only
-reachable through the spec form (they do not fit flat kwargs -- that is
-why the spec API exists).
+:func:`run_many` runs a batch of named specs
+(:class:`~repro.parallel.RunSpec`) across worker processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.check import InvariantChecker
     from repro.parallel import RunSpec
 
 from repro.obs.metrics import MetricsSample
 from repro.obs.profile import WallClockProfiler
 from repro.obs.registry import TelemetryRegistry
 from repro.obs.trace import InMemorySink, JsonlSink, Span, Tracer
-from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
-from repro.ssd.config import SSDConfig
+from repro.specs import SimulationSpec
 from repro.ssd.controller import SSDSimulation
 from repro.ssd.stats import SimulationStats
-from repro.workloads.base import Trace
 
 
 @dataclass
@@ -99,215 +90,54 @@ class SimulationResult:
         return telemetry_report(self.telemetry)
 
 
-def spec_from_kwargs(
-    config: SSDConfig,
-    workload: Union[str, Trace],
-    ftl: str = "cube",
-    *,
-    queue_depth: int = 32,
-    warmup_requests: int = 0,
-    prefill: float = 0.9,
-    n_requests: int = 8000,
-    seed: int = 7,
-    trace: Optional[str] = None,
-    metrics_interval: Optional[float] = None,
-    telemetry: bool = False,
-    profile: bool = False,
-    open_loop: bool = False,
-    max_events: Optional[int] = None,
-    check=None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    artifact_dir: Optional[str] = None,
-    artifact_every: Optional[float] = None,
-    **ftl_kwargs,
-) -> SimulationSpec:
-    """The :class:`~repro.specs.SimulationSpec` equivalent of the legacy
-    flat-kwarg :func:`run_simulation` call -- the back-compat mapping,
-    pinned in one place.
+def build_simulation(
+    spec: SimulationSpec, check, workload: str, **wiring
+) -> Tuple[SSDSimulation, Optional["InvariantChecker"]]:
+    """Build the (unprefilled) simulation a spec runs on.
 
-    ``open_loop=True`` maps to an *unbounded* open-loop
-    :class:`~repro.specs.HostSpec` (``queue_depth=None``), preserving
-    the historical ``run_open_loop`` semantics; NCQ replay (finite
-    depth + arrivals) is spec-form only.
-    """
-    if isinstance(workload, str):
-        workload = WorkloadSpec(workload, n_requests=n_requests)
-    host = HostSpec(
-        queue_depth=None if open_loop else queue_depth,
-        open_loop=open_loop,
-    )
-    options = RunOptions(
-        trace=trace,
-        metrics_interval=metrics_interval,
-        telemetry=telemetry,
-        profile=profile,
-        check=check,
-        max_events=max_events,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        resume_from=resume_from,
-        artifact_dir=artifact_dir,
-        artifact_every=artifact_every,
-    )
-    return SimulationSpec(
-        config=config,
-        workload=workload,
-        ftl=ftl,
-        host=host,
-        options=options,
-        warmup_requests=warmup_requests,
-        prefill=prefill,
-        seed=seed,
-        ftl_kwargs=dict(ftl_kwargs),
-    )
-
-
-def run_simulation(
-    config: Union[SSDConfig, SimulationSpec],
-    workload: Union[str, Trace, None] = None,
-    ftl: str = "cube",
-    *,
-    queue_depth: int = 32,
-    warmup_requests: int = 0,
-    prefill: float = 0.9,
-    n_requests: int = 8000,
-    seed: int = 7,
-    trace: Optional[str] = None,
-    metrics_interval: Optional[float] = None,
-    telemetry: bool = False,
-    profile: bool = False,
-    open_loop: bool = False,
-    max_events: Optional[int] = None,
-    check=None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    artifact_dir: Optional[str] = None,
-    artifact_every: Optional[float] = None,
-    **ftl_kwargs,
-) -> SimulationResult:
-    """Build, prefill, and run one SSD simulation.
-
-    Accepts either one :class:`~repro.specs.SimulationSpec` as the sole
-    positional argument (the preferred form) or the legacy flat kwargs
-    below, which :func:`spec_from_kwargs` maps to the equivalent spec --
-    the two forms produce byte-identical results.
-
-    Parameters
-    ----------
-    config:
-        The SSD to simulate, or a complete
-        :class:`~repro.specs.SimulationSpec` (then every other argument
-        must be left at its default).
-    workload:
-        A workload name (``"OLTP"``, ``"Proxy"``, ...; generated with
-        ``n_requests`` / ``seed``), a ``trace:<path>`` reference, or a
-        pre-built :class:`~repro.workloads.base.Trace` (then
-        ``n_requests`` and ``seed`` are ignored).
-    ftl:
-        FTL variant name (``"page"``, ``"vert"``, ``"cube"``, ...).
-    trace:
-        ``None`` disables tracing (the default; the simulation is
-        bit-for-bit the untraced run), ``"memory"`` records spans into
-        ``result.spans``, any other string is a path to stream a JSONL
-        trace to.
-    metrics_interval:
-        Simulated microseconds between metrics snapshots; ``None``
-        disables sampling.
-    telemetry:
-        Attach a :class:`~repro.obs.registry.TelemetryRegistry` with
-        the device instruments (per-die busy time, queue depths,
-        per-h-layer retries/tPROG, ORT hits) and return its snapshot
-        in ``result.telemetry``.  Off by default; an untelemetered run
-        is bit-for-bit the plain run.
-    profile:
-        Attach a :class:`~repro.obs.profile.WallClockProfiler` and
-        return its section attribution in ``result.profile``.
-    open_loop:
-        Replay at recorded arrival times instead of closed-loop at
-        ``queue_depth`` (the trace must carry arrivals).
-    check:
-        ``None`` disables runtime invariant checking (the default; the
-        simulation is bit-for-bit the unchecked run).  ``True`` /
-        ``"on"`` attaches an :class:`~repro.check.InvariantChecker`
-        (per-event invariants plus one deep audit at the end);
-        ``"strict"`` also deep-audits after every erase and
-        periodically during the run.  A :class:`~repro.check.CheckConfig`
-        passes through as-is.  The report lands in ``result.check``;
-        any violation raises
-        :class:`~repro.check.InvariantViolation`.
-    checkpoint_every:
-        Write a checkpoint every N completed host requests into
-        ``checkpoint_dir`` (required together).  The run replays in
-        quiescent segments of N requests (a deterministic scheduling
-        change; see docs/PERSISTENCE.md) and can be resumed
-        byte-identically from any checkpoint.  Incompatible with
-        ``trace``, ``profile``, ``metrics_interval``, ``open_loop``
-        and ``max_events``.
-    resume_from:
-        Path to a checkpoint directory to resume from.  ``config``,
-        ``ftl``, ``workload`` and ``seed`` must match the original
-        run (validated against the checkpoint header); ``queue_depth``,
-        ``warmup_requests``, ``checkpoint_every`` and the check level
-        are taken from the header.
-    artifact_dir:
-        Write a self-contained run-artifact directory under this base
-        path (``<artifact_dir>/<run_id>/``; see
-        :mod:`repro.obs.artifact`): the spec, result, latency quantile
-        grids, a windowed telemetry time-series, tail/typical exemplar
-        spans, and a typed manifest.  ``None`` (the default) disables
-        artifacts; a run without them is bit-for-bit the plain run.
-        The written path lands in ``result.artifact``.
-    artifact_every:
-        Simulated microseconds between telemetry time-series windows in
-        the artifact (default 1000.0).
-    """
-    if isinstance(config, SimulationSpec):
-        if workload is not None or ftl_kwargs:
-            raise TypeError(
-                "pass either one SimulationSpec or the flat kwarg form, "
-                "not both"
-            )
-        return run_spec(config)
-    return run_spec(
-        spec_from_kwargs(
-            config,
-            workload,
-            ftl,
-            queue_depth=queue_depth,
-            warmup_requests=warmup_requests,
-            prefill=prefill,
-            n_requests=n_requests,
-            seed=seed,
-            trace=trace,
-            metrics_interval=metrics_interval,
-            telemetry=telemetry,
-            profile=profile,
-            open_loop=open_loop,
-            max_events=max_events,
-            check=check,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            resume_from=resume_from,
-            artifact_dir=artifact_dir,
-            artifact_every=artifact_every,
-            **ftl_kwargs,
-        )
-    )
-
-
-def run_spec(spec: SimulationSpec) -> SimulationResult:
-    """Execute one :class:`~repro.specs.SimulationSpec`.
-
-    The single executor behind both :func:`run_simulation` call forms:
-    every option lives on the spec, so the kwarg shim cannot drift from
-    the spec path.
+    ``check`` is any ``check=`` value (see
+    :func:`repro.check.parse_check_level`); when it enables checking,
+    an :class:`~repro.check.InvariantChecker` is attached, its report
+    context naming ``workload``.  ``wiring`` (``tracer``, ``telemetry``,
+    ``profiler``) passes through to
+    :class:`~repro.ssd.controller.SSDSimulation`.
     """
     from repro.check import InvariantChecker, parse_check_level
 
     config = spec.config
+    checker = None
+    check_config = parse_check_level(check)
+    if check_config is not None:
+        # the data-integrity oracle reads content tags back; forcing
+        # store_tags on changes only what the chips *remember*, never
+        # any timing or random draw, so checked and unchecked runs stay
+        # event-for-event identical
+        if not config.store_tags:
+            config = replace(config, store_tags=True)
+        checker = InvariantChecker(check_config)
+        checker.context.update(
+            ftl=spec.ftl,
+            workload=workload,
+            seed=spec.seed,
+            check=check_config.level,
+        )
+    sim = SSDSimulation(
+        config, ftl=spec.ftl, checker=checker, **wiring, **spec.ftl_kwargs
+    )
+    return sim, checker
+
+
+def run_spec(spec: SimulationSpec) -> SimulationResult:
+    """Build, prefill, and run the simulation one spec describes.
+
+    Every option lives on the spec (:class:`~repro.specs.RunOptions`):
+    ``trace`` (``"memory"`` or a JSONL path), ``metrics_interval``,
+    ``telemetry``, ``profile``, ``check``, ``max_events``, the
+    checkpoint group (handed to :func:`repro.persist.run_checkpointed`)
+    and ``artifact_dir`` / ``artifact_every`` (see
+    :mod:`repro.obs.artifact`).  All off by default, and an off option
+    leaves the run bit-for-bit the bare run.
+    """
     host = spec.host
     options = spec.options
     if options.checkpoint_every is not None or options.resume_from is not None:
@@ -328,22 +158,7 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
             )
         from repro.persist import run_checkpointed
 
-        return run_checkpointed(
-            config,
-            spec.workload,
-            spec.ftl,
-            queue_depth=host.queue_depth,
-            warmup_requests=spec.warmup_requests,
-            prefill=spec.prefill,
-            seed=spec.seed,
-            telemetry=options.telemetry,
-            check=options.check,
-            checkpoint_every=options.checkpoint_every,
-            checkpoint_dir=options.checkpoint_dir,
-            resume_from=options.resume_from,
-            spec=spec,
-            **spec.ftl_kwargs,
-        )
+        return run_checkpointed(spec)
 
     artifacts = options.artifact_dir is not None
     tracer: Optional[Tracer] = None
@@ -373,32 +188,15 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
         TelemetryRegistry() if (options.telemetry or artifacts) else None
     )
     profiler = WallClockProfiler() if options.profile else None
-    checker = None
-    check_config = parse_check_level(options.check)
-    if check_config is not None:
-        # the data-integrity oracle reads content tags back; forcing
-        # store_tags on changes only what the chips *remember*, never
-        # any timing or random draw, so checked and unchecked runs stay
-        # event-for-event identical
-        if not config.store_tags:
-            config = replace(config, store_tags=True)
-        checker = InvariantChecker(check_config)
-        checker.context.update(
-            ftl=spec.ftl,
-            workload=spec.workload_name,
-            seed=spec.seed,
-            check=check_config.level,
-        )
     if profiler is not None:
         profiler.push("setup")
-    sim = SSDSimulation(
-        config,
-        ftl=spec.ftl,
+    sim, checker = build_simulation(
+        spec,
+        options.check,
+        spec.workload_name,
         tracer=tracer,
         telemetry=registry,
         profiler=profiler,
-        checker=checker,
-        **spec.ftl_kwargs,
     )
     recorder = None
     if artifacts:
@@ -669,15 +467,13 @@ def run_tenant_scenario(
     :meth:`~TenantScenarioResult.interference_matrix` isolates
     cross-tenant interference.
     """
-    from dataclasses import replace as dc_replace
-
     from repro.parallel import RunSpec
 
     if not spec.host.tenants:
         raise ValueError("run_tenant_scenario needs a spec with host.tenants")
     run_specs = [RunSpec(name="shared", spec=spec, seed=spec.seed)]
     for tenant in spec.host.tenants:
-        solo_spec = dc_replace(
+        solo_spec = replace(
             spec, host=replace(spec.host, tenants=(tenant,))
         )
         run_specs.append(

@@ -11,8 +11,9 @@
   fuzzing across FTLs (kept out of this namespace to avoid importing
   the full API stack; ``from repro.check import fuzz`` explicitly).
 
-Enable via ``run_simulation(check=...)`` or the CLI ``--check`` /
-``repro-ssd fuzz``.
+Enable via the ``check`` option of a spec
+(``SimulationSpec(options=RunOptions(check="strict"), ...)`` run through
+:func:`repro.api.run_spec`) or the CLI ``--check`` / ``repro-ssd fuzz``.
 """
 
 from repro.check.errors import InvariantViolation

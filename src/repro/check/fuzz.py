@@ -129,7 +129,8 @@ def run_fuzz(
     there (the remaining FTLs still run) and cross-FTL digest
     disagreements are listed in ``mismatches``.
     """
-    from repro.api import run_simulation
+    from repro.api import run_spec
+    from repro.specs import HostSpec, RunOptions, SimulationSpec
 
     if config is None:
         config = SSDConfig.small(logical_fraction=0.4)
@@ -144,14 +145,16 @@ def run_fuzz(
     check = CheckConfig(level=level) if level == "on" else CheckConfig.strict()
     for ftl in ftls:
         try:
-            result = run_simulation(
-                config,
-                trace,
-                ftl=ftl,
-                queue_depth=queue_depth,
-                prefill=prefill,
-                seed=seed,
-                check=check,
+            result = run_spec(
+                SimulationSpec(
+                    config=config,
+                    workload=trace,
+                    ftl=ftl,
+                    host=HostSpec(queue_depth=queue_depth),
+                    options=RunOptions(check=check),
+                    prefill=prefill,
+                    seed=seed,
+                )
             )
         except InvariantViolation as violation:
             report.violations[ftl] = str(violation)

@@ -139,9 +139,9 @@ class _SpanTail:
 class InvariantChecker:
     """Composable runtime invariants over one simulation.
 
-    Build it, hand it to :class:`~repro.ssd.controller.SSDSimulation`
-    (``checker=``) or :func:`repro.api.run_simulation` (``check=``), and
-    it raises :class:`InvariantViolation` the moment the stack becomes
+    Build it and hand it to :class:`~repro.ssd.controller.SSDSimulation`
+    (``checker=``), or set a spec's ``check`` option, and it raises
+    :class:`InvariantViolation` the moment the stack becomes
     inconsistent.  ``context`` (seed, FTL, workload...) is embedded in
     every report so a violating run is directly replayable.
     """

@@ -53,11 +53,12 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.tables import format_table
-from repro.api import run_simulation
+from repro.api import run_spec
 from repro.faults import CAMPAIGNS, get_campaign
 from repro.nand.geometry import BlockGeometry, SSDGeometry
 from repro.nand.reliability import AgingState
 from repro.obs.log import LEVELS, configure_logging, get_logger, log_event
+from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 from repro.workloads import WORKLOAD_GENERATORS, is_trace_path
 
@@ -548,7 +549,6 @@ def _config(args: argparse.Namespace) -> SSDConfig:
 
 
 def _run(args: argparse.Namespace, ftl: str):
-    config = _config(args)
     checkpoint_dir = getattr(args, "checkpoint", None)
     ftl_kwargs = {}
     cmt_capacity = getattr(args, "cmt_capacity", None)
@@ -556,29 +556,31 @@ def _run(args: argparse.Namespace, ftl: str):
         if ftl != "dftl":
             raise SystemExit("--cmt-capacity only applies to --ftl dftl")
         ftl_kwargs["cmt_capacity"] = cmt_capacity
-    return run_simulation(
-        config,
-        args.workload,
+    spec = SimulationSpec(
+        config=_config(args),
+        workload=WorkloadSpec(args.workload, n_requests=args.requests),
         ftl=ftl,
-        queue_depth=args.queue_depth,
+        host=HostSpec(queue_depth=args.queue_depth),
+        options=RunOptions(
+            trace=getattr(args, "trace", None),
+            metrics_interval=getattr(args, "metrics_interval", None),
+            telemetry=getattr(args, "telemetry", False),
+            profile=getattr(args, "profile", False),
+            check=getattr(args, "check", None),
+            checkpoint_every=(
+                args.checkpoint_every if checkpoint_dir is not None else None
+            ),
+            checkpoint_dir=checkpoint_dir,
+            resume_from=getattr(args, "resume", None),
+            artifact_dir=getattr(args, "artifacts", None),
+            artifact_every=getattr(args, "artifact_every", None),
+        ),
         warmup_requests=args.warmup,
         prefill=args.prefill,
-        n_requests=args.requests,
         seed=args.seed,
-        trace=getattr(args, "trace", None),
-        metrics_interval=getattr(args, "metrics_interval", None),
-        telemetry=getattr(args, "telemetry", False),
-        profile=getattr(args, "profile", False),
-        check=getattr(args, "check", None),
-        checkpoint_every=(
-            args.checkpoint_every if checkpoint_dir is not None else None
-        ),
-        checkpoint_dir=checkpoint_dir,
-        resume_from=getattr(args, "resume", None),
-        artifact_dir=getattr(args, "artifacts", None),
-        artifact_every=getattr(args, "artifact_every", None),
-        **ftl_kwargs,
+        ftl_kwargs=ftl_kwargs,
     )
+    return run_spec(spec)
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
@@ -624,7 +626,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 artifact_dir=args.artifacts,
                 artifact_every=args.artifact_every,
             )
-        result = run_simulation(spec)
+        result = run_spec(spec)
     else:
         result = _run(args, args.ftl)
     stats = result.stats
@@ -788,6 +790,11 @@ def _sweep_specs(args: argparse.Namespace):
         from repro.specs import load_spec_file
 
         base_spec = load_spec_file(args.spec)
+        options = base_spec.options
+        if args.telemetry:
+            options = dataclasses.replace(options, telemetry=True)
+        if args.artifacts is not None:
+            options = dataclasses.replace(options, artifact_dir=args.artifacts)
         specs = []
         for ftl in ftls:
             for aging in agings:
@@ -804,17 +811,9 @@ def _sweep_specs(args: argparse.Namespace):
                         config=base_spec.config.with_aging(aging).with_faults(
                             get_campaign(fault)
                         ),
+                        options=options,
                     )
-                    specs.append(
-                        RunSpec(
-                            name=name,
-                            workload=base_spec.workload_name,
-                            ftl=ftl,
-                            telemetry=args.telemetry,
-                            spec=cell,
-                            artifact_dir=getattr(args, "artifacts", None),
-                        )
-                    )
+                    specs.append(RunSpec(name=name, spec=cell))
         return specs
     geometry = SSDGeometry(
         n_channels=2,
@@ -823,6 +822,7 @@ def _sweep_specs(args: argparse.Namespace):
         block=BlockGeometry(),
     )
     base_config = SSDConfig(geometry=geometry)
+    options = RunOptions(telemetry=args.telemetry, artifact_dir=args.artifacts)
     specs = []
     for ftl in ftls:
         for workload in workloads:
@@ -834,20 +834,16 @@ def _sweep_specs(args: argparse.Namespace):
                     config = base_config.with_aging(aging).with_faults(
                         get_campaign(fault)
                     )
-                    specs.append(
-                        RunSpec(
-                            name=name,
-                            config=config,
-                            workload=workload,
-                            ftl=ftl,
-                            queue_depth=args.queue_depth,
-                            warmup_requests=args.warmup,
-                            prefill=args.prefill,
-                            n_requests=args.requests,
-                            telemetry=args.telemetry,
-                            artifact_dir=getattr(args, "artifacts", None),
-                        )
+                    cell = SimulationSpec(
+                        config=config,
+                        workload=WorkloadSpec(workload, n_requests=args.requests),
+                        ftl=ftl,
+                        host=HostSpec(queue_depth=args.queue_depth),
+                        options=options,
+                        warmup_requests=args.warmup,
+                        prefill=args.prefill,
                     )
+                    specs.append(RunSpec(name=name, spec=cell))
     return specs
 
 
@@ -909,8 +905,8 @@ def _partial_sweep_payload(specs, outcomes, base_seed):
             {
                 "name": spec.name,
                 "seed": resolve_seed(spec, base_seed),
-                "ftl": spec.ftl,
-                "workload": spec.workload,
+                "ftl": spec.spec.ftl,
+                "workload": spec.spec.workload_name,
                 "stats": (
                     outcome.result.stats.to_dict()
                     if outcome is not None and outcome.ok
@@ -1015,8 +1011,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 {
                     "name": spec.name,
                     "seed": resolve_seed(spec, args.seed),
-                    "ftl": spec.ftl,
-                    "workload": spec.workload,
+                    "ftl": spec.spec.ftl,
+                    "workload": spec.spec.workload_name,
                     "stats": result.stats.to_dict() if result else None,
                     "error": batch.errors.get(spec.name),
                     "retried": spec.name in batch.retried,

@@ -63,7 +63,7 @@ class FaultCampaign:
     #: latency multiplier of a stuck-die operation
     stuck_latency_factor: float = 4.0
     #: simulated instant (microseconds) of a sudden power-off.  The
-    #: injector and :func:`repro.api.run_simulation` ignore this field --
+    #: injector and :func:`repro.api.run_spec` ignore this field --
     #: a power cut is not a per-operation fault but a campaign-level
     #: event acted on only by the SPOR harness
     #: (:func:`repro.persist.run_spor_campaign`), which cuts the run at

@@ -115,9 +115,6 @@ class PageMapper:
     def valid_count(self, chip_id: int, block: int) -> int:
         return int(self._valid_count[chip_id, block])
 
-    def valid_counts_of_chip(self, chip_id: int) -> np.ndarray:
-        return self._valid_count[chip_id].copy()
-
     def _block_page_range(self, chip_id: int, block: int) -> Tuple[int, int]:
         per_block = self.geometry.block.pages_per_block
         base = chip_id * self.geometry.pages_per_chip + block * per_block

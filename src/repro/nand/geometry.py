@@ -47,10 +47,6 @@ class PageAddress:
     wl: int
     page: int
 
-    @property
-    def wl_address(self) -> WLAddress:
-        return WLAddress(self.layer, self.wl)
-
 
 @dataclass(frozen=True)
 class BlockGeometry:

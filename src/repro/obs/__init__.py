@@ -36,8 +36,8 @@ package provides that attribution in three parts:
   ASCII/HTML dashboards over one artifact and metric-by-metric
   comparison between two (``repro-ssd report`` / ``repro-ssd diff``).
 
-The supported entry point is :func:`repro.api.run_simulation` with its
-``trace=`` and ``metrics_interval=`` arguments; see
+The supported entry point is :func:`repro.api.run_spec` with the
+``trace`` and ``metrics_interval`` options of its spec; see
 ``docs/OBSERVABILITY.md`` for the trace format and span taxonomy.
 """
 

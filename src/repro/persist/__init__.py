@@ -5,8 +5,10 @@ Three independent layers (see docs/PERSISTENCE.md):
 - **Checkpoint/restore** (:mod:`repro.persist.checkpoint`,
   :mod:`repro.persist.driver`): versioned on-disk snapshots of a running
   simulation at quiescent barriers, with byte-identical resume --
-  surfaced as ``run_simulation(checkpoint_every=..., resume_from=...)``
-  and ``repro-ssd simulate --checkpoint/--resume``.
+  surfaced as the ``checkpoint_every`` / ``checkpoint_dir`` /
+  ``resume_from`` options of a spec run through
+  :func:`repro.api.run_spec`, and as ``repro-ssd simulate
+  --checkpoint/--resume``.
 - **SPOR** (:mod:`repro.persist.spor`): sudden-power-off injection at a
   simulated instant plus OOB-based FTL recovery, verified end-to-end by
   the shadow-store oracle.

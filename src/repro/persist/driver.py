@@ -1,4 +1,4 @@
-"""Segmented checkpoint/resume driver for :func:`repro.api.run_simulation`.
+"""Segmented checkpoint/resume driver for :func:`repro.api.run_spec`.
 
 Checkpointing rides on the *quiescent barrier* contract of
 :meth:`repro.ssd.controller.SSDSimulation.run_in_segments`: the trace is
@@ -26,8 +26,6 @@ bit-identical to builds without this module entirely.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
-from typing import Optional, Union
 
 from repro.persist.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -36,30 +34,9 @@ from repro.persist.checkpoint import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.specs import SimulationSpec, SpecError, WorkloadSpec
-from repro.ssd.config import SSDConfig
+from repro.specs import SimulationSpec, SpecError, check_level_name
 from repro.ssd.controller import SSDSimulation
-from repro.workloads import build_workload
 from repro.workloads.base import Trace
-
-
-def _build_workload_arg(
-    workload: Union[str, Trace, WorkloadSpec],
-    config: SSDConfig,
-    n_requests: int,
-    seed: int,
-) -> Trace:
-    """Materialize a checkpointable workload argument.
-
-    Accepts the legacy name / pre-built-trace forms plus a
-    :class:`~repro.specs.WorkloadSpec` (the spec-form path through
-    :func:`repro.api.run_spec`).
-    """
-    if isinstance(workload, WorkloadSpec):
-        return workload.build(config, default_seed=seed)
-    if isinstance(workload, str):
-        return build_workload(workload, config.logical_pages, n_requests, seed=seed)
-    return workload
 
 
 def capture_state(sim: SSDSimulation, accounting: dict) -> dict:
@@ -120,63 +97,11 @@ def restore_state(sim: SSDSimulation, state: dict) -> None:
         sim.checker.load_state_dict(state["checker"])
 
 
-def check_level_of(check) -> Optional[str]:
-    """Normalize a ``check=`` argument to its level string (or None).
+def run_checkpointed(spec: SimulationSpec):
+    """Run one spec with checkpointing and/or from a checkpoint.
 
-    Checkpoint headers persist the *level*, not the config object, so a
-    resumed run rebuilds the checker through
-    :func:`repro.check.parse_check_level`.
-    """
-    if check is None or check is False:
-        return None
-    if check is True:
-        return "on"
-    if isinstance(check, str):
-        return check
-    level = getattr(check, "level", None)
-    if not isinstance(level, str):
-        raise ValueError(
-            "checkpointing supports check=None/True/'on'/'strict' or a "
-            "CheckConfig with a level attribute"
-        )
-    return level
-
-
-def _build_sim(config, ftl, check_level, registry, ftl_kwargs, context):
-    from repro.check import InvariantChecker, parse_check_level
-
-    checker = None
-    check_config = parse_check_level(check_level)
-    if check_config is not None:
-        if not config.store_tags:
-            config = replace(config, store_tags=True)
-        checker = InvariantChecker(check_config)
-        checker.context.update(check=check_config.level, **context)
-    sim = SSDSimulation(
-        config, ftl=ftl, telemetry=registry, checker=checker, **ftl_kwargs
-    )
-    return sim, checker
-
-
-def run_checkpointed(
-    config: SSDConfig,
-    workload: Union[str, Trace, WorkloadSpec],
-    ftl: str = "cube",
-    *,
-    queue_depth: int = 32,
-    warmup_requests: int = 0,
-    prefill: float = 0.9,
-    n_requests: int = 8000,
-    seed: int = 7,
-    telemetry: bool = False,
-    check=None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    spec: Optional[SimulationSpec] = None,
-    **ftl_kwargs,
-):
-    """Run one simulation with checkpointing and/or from a checkpoint.
+    Reached through :func:`repro.api.run_spec` whenever the spec's
+    options set ``checkpoint_every`` or ``resume_from``.
 
     With ``resume_from=None``: a fresh run that writes one checkpoint
     directory under ``checkpoint_dir`` after every ``checkpoint_every``
@@ -184,73 +109,60 @@ def run_checkpointed(
     result *is* the final state).
 
     With ``resume_from=PATH``: rebuild from that checkpoint and run the
-    remaining requests.  The header is authoritative for ``queue_depth``,
-    ``warmup_requests``, ``checkpoint_every`` and the check level (they
-    must match the original run for resume equivalence); ``config``,
-    ``ftl``, ``workload``, ``seed`` and ``n_requests`` must match the
+    remaining requests.  The header is authoritative for the host queue
+    depth, ``warmup_requests``, ``checkpoint_every`` and the check level
+    (they must match the original run for resume equivalence); the
+    config, ``ftl``, workload, seed and request count must match the
     header and are validated.  Further checkpoints continue into
     ``checkpoint_dir`` (default: the directory containing
-    ``resume_from``).  ``**ftl_kwargs`` are not persisted and must be
+    ``resume_from``).  ``ftl_kwargs`` are not persisted and must be
     re-passed verbatim.
 
-    ``spec`` (when the call came through :func:`repro.api.run_spec`) is
-    embedded in every checkpoint header under the ``"spec"`` key, so a
-    checkpoint directory is self-describing: ``repro-ssd simulate
-    --spec`` can resume it without re-stating the run parameters.
+    The spec is embedded in every checkpoint header under the ``"spec"``
+    key, so a checkpoint directory is self-describing: ``repro-ssd
+    simulate --spec`` can resume it without re-stating the run
+    parameters.
     """
-    from repro.api import SimulationResult
+    from repro.api import SimulationResult, build_simulation
     from repro.obs.registry import TelemetryRegistry
 
-    if resume_from is not None:
-        return _resume(
-            config,
-            workload,
-            ftl,
-            n_requests=n_requests,
-            seed=seed,
-            telemetry=telemetry,
-            checkpoint_dir=checkpoint_dir,
-            resume_from=resume_from,
-            ftl_kwargs=ftl_kwargs,
-        )
+    options = spec.options
+    if options.resume_from is not None:
+        return _resume(spec)
 
+    checkpoint_every = options.checkpoint_every
+    checkpoint_dir = options.checkpoint_dir
     if checkpoint_every is None or checkpoint_every < 1:
         raise ValueError("checkpoint_every must be an integer >= 1")
     if checkpoint_dir is None:
         raise ValueError("checkpoint_dir is required when checkpointing")
-    check_level = check_level_of(check)
-    trace = _build_workload_arg(workload, config, n_requests, seed)
-    registry = TelemetryRegistry() if telemetry else None
-    context = {
-        "ftl": ftl,
-        "workload": trace.name,
-        "seed": seed,
-    }
-    sim, checker = _build_sim(
-        config, ftl, check_level, registry, ftl_kwargs, context
+    check_level = check_level_name(options.check)
+    trace = spec.build_trace()
+    registry = TelemetryRegistry() if options.telemetry else None
+    sim, checker = build_simulation(
+        spec, check_level, trace.name, telemetry=registry
     )
-    if prefill > 0:
-        sim.prefill(prefill)
+    if spec.prefill > 0:
+        sim.prefill(spec.prefill)
     base_header = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "config_fingerprint": config_fingerprint(config),
-        "ftl": ftl,
+        "config_fingerprint": config_fingerprint(spec.config),
+        "ftl": spec.ftl,
         "workload": trace.name,
-        "seed": seed,
+        "seed": spec.seed,
         "n_requests": len(trace),
-        "queue_depth": queue_depth,
-        "warmup_requests": warmup_requests,
+        "queue_depth": spec.host.queue_depth,
+        "warmup_requests": spec.warmup_requests,
         "checkpoint_every": checkpoint_every,
         "check": check_level,
     }
-    if spec is not None:
-        try:
-            base_header["spec"] = spec.to_dict()
-        except SpecError:
-            # in-code constructions (pre-built Trace, custom timing or
-            # campaign objects) have no file form; the header simply
-            # stays spec-less as it was before the spec API existed
-            pass
+    try:
+        base_header["spec"] = spec.to_dict()
+    except SpecError:
+        # in-code constructions (pre-built Trace, custom timing or
+        # campaign objects) have no file form; the header simply
+        # stays spec-less
+        pass
 
     def on_barrier(accounting: dict) -> None:
         header = dict(base_header)
@@ -263,8 +175,8 @@ def run_checkpointed(
 
     stats = sim.run_in_segments(
         trace,
-        queue_depth=queue_depth,
-        warmup_requests=warmup_requests,
+        queue_depth=spec.host.queue_depth,
+        warmup_requests=spec.warmup_requests,
         segment_requests=checkpoint_every,
         on_barrier=on_barrier,
     )
@@ -276,55 +188,36 @@ def run_checkpointed(
     )
 
 
-def _resume(
-    config: SSDConfig,
-    workload: Union[str, Trace, WorkloadSpec],
-    ftl: str,
-    *,
-    n_requests: int,
-    seed: int,
-    telemetry: bool,
-    checkpoint_dir: Optional[str],
-    resume_from: str,
-    ftl_kwargs: dict,
-):
-    from repro.api import SimulationResult
+def _resume(spec: SimulationSpec):
+    from repro.api import SimulationResult, build_simulation
 
-    if telemetry:
+    resume_from = spec.options.resume_from
+    if spec.options.telemetry:
         raise ValueError(
             "telemetry is not supported on resume (registry collectors "
             "are not serializable); re-run straight-through instead"
         )
     header, state = load_checkpoint(resume_from)
-    fingerprint = config_fingerprint(config)
+    fingerprint = config_fingerprint(spec.config)
     if header["config_fingerprint"] != fingerprint:
         raise CheckpointError(
             f"{resume_from}: config fingerprint mismatch "
             f"(checkpoint {header['config_fingerprint'][:12]}..., "
             f"passed config {fingerprint[:12]}...)"
         )
-    if header["ftl"] != ftl:
+    if header["ftl"] != spec.ftl:
         raise CheckpointError(
             f"{resume_from}: checkpoint is for ftl={header['ftl']!r}, "
-            f"got {ftl!r}"
+            f"got {spec.ftl!r}"
         )
-    if isinstance(workload, (str, WorkloadSpec)):
-        if seed != header["seed"]:
-            raise CheckpointError(
-                f"{resume_from}: checkpoint seed {header['seed']} != "
-                f"passed seed {seed}"
-            )
-        if isinstance(workload, WorkloadSpec):
-            trace = workload.build(config, default_seed=header["seed"])
-        else:
-            trace = build_workload(
-                workload,
-                config.logical_pages,
-                header["n_requests"],
-                seed=header["seed"],
-            )
-    else:
-        trace = workload
+    # a pre-built Trace carries its own stream; a generated one must be
+    # regenerated from the original seed
+    if not isinstance(spec.workload, Trace) and spec.seed != header["seed"]:
+        raise CheckpointError(
+            f"{resume_from}: checkpoint seed {header['seed']} != "
+            f"passed seed {spec.seed}"
+        )
+    trace = spec.build_trace()
     if trace.name != header["workload"] or len(trace) != header["n_requests"]:
         raise CheckpointError(
             f"{resume_from}: checkpoint is for workload "
@@ -332,17 +225,10 @@ def _resume(
             f"{trace.name!r} x {len(trace)}"
         )
     checkpoint_every = header["checkpoint_every"]
-    queue_depth = header["queue_depth"]
-    warmup_requests = header["warmup_requests"]
-    out_dir = checkpoint_dir or os.path.dirname(os.path.abspath(resume_from))
-    context = {
-        "ftl": ftl,
-        "workload": trace.name,
-        "seed": header["seed"],
-    }
-    sim, checker = _build_sim(
-        config, ftl, header["check"], None, ftl_kwargs, context
+    out_dir = spec.options.checkpoint_dir or os.path.dirname(
+        os.path.abspath(resume_from)
     )
+    sim, checker = build_simulation(spec, header["check"], trace.name)
     # no prefill: the checkpoint carries the full media state
     restore_state(sim, state)
     base_header = {
@@ -360,8 +246,8 @@ def _resume(
 
     stats = sim.run_in_segments(
         trace,
-        queue_depth=queue_depth,
-        warmup_requests=warmup_requests,
+        queue_depth=header["queue_depth"],
+        warmup_requests=header["warmup_requests"],
         segment_requests=checkpoint_every,
         on_barrier=on_barrier,
         resume_accounting=state["accounting"],

@@ -250,19 +250,20 @@ class Engine:
         ``max_events`` have executed.
 
         When a :class:`~repro.obs.profile.WallClockProfiler` is passed,
-        host wall-clock time is attributed per event: heap maintenance
-        to ``event_queue`` and callback execution to ``dispatch`` (minus
-        any nested sections -- the NAND model and the tracer push their
-        own, so ``dispatch`` is effectively FTL + engine-glue time).
-        The event sequence is identical with or without a profiler.
+        host wall-clock time is attributed as the loop runs: time
+        outside event callbacks (heap maintenance) to ``event_queue``
+        and each callback to ``dispatch`` (minus any nested sections --
+        the NAND model and the tracer push their own, so ``dispatch`` is
+        effectively FTL + engine-glue time).  The event sequence is
+        identical with or without a profiler.
 
-        The unprofiled loop drains *runs of same-timestamp events* in
-        one iteration: within a batch the clock, the ``until`` bound and
+        The loop drains *runs of same-timestamp events* in one
+        iteration: within a batch the clock, the ``until`` bound and
         the heap head need no re-checking per event.  (time, seq) is a
         strict total order and the batch always pops the minimum, so the
         dispatch sequence -- including zero-delay events a callback
         schedules back at the batch timestamp -- is byte-identical to
-        the one-event-at-a-time loop.
+        the one-event-at-a-time :meth:`step` loop.
 
         On the ``max_events`` return path any *leading cancelled
         corpses* are drained first, so a caller running in segments
@@ -270,40 +271,51 @@ class Engine:
         by events that will never fire.
         """
         if profiler is not None:
-            return self._run_profiled(until, max_events, profiler)
+            profiler.push("event_queue")
         executed = 0
         queue = self._queue
         pop = heapq.heappop
-        while queue:
-            if max_events is not None and executed >= max_events:
-                self._drain_corpses(until)
-                return
-            head = queue[0]
-            if head.cancelled:
-                pop(queue)
-                head.engine = None
-                self._cancelled -= 1
-                continue
-            batch_time = head.time
-            if until is not None and batch_time > until:
-                self._now = until
-                return
-            self._now = batch_time
-            while queue and queue[0].time == batch_time:
-                event = pop(queue)
-                event.engine = None
-                if event.cancelled:
+        try:
+            while queue:
+                if max_events is not None and executed >= max_events:
+                    self._drain_corpses(until)
+                    return
+                head = queue[0]
+                if head.cancelled:
+                    pop(queue)
+                    head.engine = None
                     self._cancelled -= 1
                     continue
-                self._processed += 1
-                if self.monitor is not None:
-                    self.monitor(batch_time)
-                event.callback()
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    break
-        if until is not None and until > self._now:
-            self._now = until
+                batch_time = head.time
+                if until is not None and batch_time > until:
+                    self._now = until
+                    return
+                self._now = batch_time
+                while queue and queue[0].time == batch_time:
+                    event = pop(queue)
+                    event.engine = None
+                    if event.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    self._processed += 1
+                    if self.monitor is not None:
+                        self.monitor(batch_time)
+                    if profiler is None:
+                        event.callback()
+                    else:
+                        profiler.push("dispatch")
+                        try:
+                            event.callback()
+                        finally:
+                            profiler.pop()
+                    executed += 1
+                    if max_events is not None and executed >= max_events:
+                        break
+            if until is not None and until > self._now:
+                self._now = until
+        finally:
+            if profiler is not None:
+                profiler.pop()
 
     def _drain_corpses(self, until: Optional[float]) -> None:
         """Pop leading cancelled events off the heap; advance the clock
@@ -324,46 +336,4 @@ class Engine:
             and until > self._now
             and (not queue or queue[0].time > until)
         ):
-            self._now = until
-
-    def _run_profiled(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        profiler,
-    ) -> None:
-        """The :meth:`run` loop with per-event wall-clock attribution."""
-        executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
-                profiler.push("event_queue")
-                self._drain_corpses(until)
-                profiler.pop()
-                return
-            profiler.push("event_queue")
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                head.engine = None
-                self._cancelled -= 1
-                profiler.pop()
-                continue
-            if until is not None and head.time > until:
-                self._now = until
-                profiler.pop()
-                return
-            event = heapq.heappop(self._queue)
-            event.engine = None
-            self._now = event.time
-            self._processed += 1
-            if self.monitor is not None:
-                self.monitor(event.time)
-            profiler.pop()
-            profiler.push("dispatch")
-            try:
-                event.callback()
-            finally:
-                profiler.pop()
-            executed += 1
-        if until is not None and until > self._now:
             self._now = until

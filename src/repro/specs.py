@@ -1,10 +1,9 @@
 """Declarative simulation specs: what to run, fully serializable.
 
-:func:`repro.api.run_simulation` grew ~20 flat kwargs over five PRs;
-trace-driven workloads, NCQ host behavior, and multi-tenant scenarios
-do not fit that shape.  This module is the redesigned front door: four
-small frozen dataclasses compose into one :class:`SimulationSpec` that
-every runner consumes --
+A run is described in exactly one way: four small frozen dataclasses
+compose into one :class:`SimulationSpec`, which every runner consumes
+(:func:`repro.api.run_spec` for one run, :func:`repro.api.run_many`
+for a batch) --
 
 - :class:`WorkloadSpec` -- *what stream*: a registry name or a
   ``trace:<path>`` reference, its request count, seed, and per-generator
@@ -20,14 +19,12 @@ every runner consumes --
 Specs serialize to plain dicts (:meth:`SimulationSpec.to_dict`) and
 back (:func:`simulation_spec_from_dict`), so a run is reproducible from
 a JSON or TOML file (:func:`load_spec_file`, ``repro-ssd simulate
---spec``).  The old kwarg form of ``run_simulation`` remains as a thin
-shim that builds a spec -- the two forms are verified byte-identical by
-the golden-trace suite.
+--spec``).
 
 Example::
 
     from repro.specs import SimulationSpec, WorkloadSpec, HostSpec
-    from repro.api import run_simulation
+    from repro.api import run_spec
 
     spec = SimulationSpec(
         workload=WorkloadSpec("zipf", n_requests=4000,
@@ -36,7 +33,7 @@ Example::
         host=HostSpec(queue_depth=16),
         seed=11,
     )
-    result = run_simulation(spec)
+    result = run_spec(spec)
 """
 
 from __future__ import annotations

@@ -68,16 +68,25 @@ class TestLogicalViewDiff:
     def test_full_views_identical_not_just_digests(self):
         """Belt and braces for the digest: capture the complete LPN ->
         tag views of two FTLs and diff them line by line."""
-        from repro.api import run_simulation
+        from repro.api import run_spec
+        from repro.specs import HostSpec, RunOptions, SimulationSpec
 
         config = SSDConfig.small(logical_fraction=0.4)
         trace = random_trace(config.logical_pages, OPS, seed=SEEDS[0])
         views = {}
         for ftl in ("page", "cube"):
-            result = run_simulation(
-                config, trace, ftl=ftl, queue_depth=8, prefill=0.4,
-                seed=SEEDS[0],
-                check=CheckConfig.strict(capture_state=True),
+            result = run_spec(
+                SimulationSpec(
+                    config=config,
+                    workload=trace,
+                    ftl=ftl,
+                    host=HostSpec(queue_depth=8),
+                    options=RunOptions(
+                        check=CheckConfig.strict(capture_state=True)
+                    ),
+                    prefill=0.4,
+                    seed=SEEDS[0],
+                )
             )
             views[ftl] = result.check["logical_view"]
         assert_snapshots_identical(

@@ -20,7 +20,7 @@ from repro.obs.registry import TelemetryRegistry
 from repro.obs.trace import InMemorySink, Tracer
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
-from repro.workloads import make_workload
+from repro.workloads import build_workload
 from repro.workloads.base import IORequest, Trace
 
 
@@ -40,7 +40,7 @@ def _checked_sim(ftl="cube", *, tracer=None, telemetry=None, config=None,
 
 def _run_some(sim, n_requests=150, seed=11):
     sim.prefill(0.4)
-    trace = make_workload(
+    trace = build_workload(
         "OLTP", sim.config.logical_pages, n_requests, seed=seed
     )
     sim.run(trace, queue_depth=8)

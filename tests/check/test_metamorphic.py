@@ -6,8 +6,9 @@ produce exactly the stats of an unchecked run, and shard-parallel
 execution must reproduce serial execution bit for bit.
 """
 
-from repro.api import run_simulation, run_many
+from repro.api import run_many, run_spec
 from repro.parallel import RunSpec
+from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 from tests.helpers.determinism import (
     assert_files_identical,
@@ -15,11 +16,17 @@ from tests.helpers.determinism import (
 )
 
 
-def _run(check=None, **kwargs):
-    config = SSDConfig.small(logical_fraction=0.4)
-    return run_simulation(
-        config, "OLTP", ftl="cube", queue_depth=8, prefill=0.4,
-        n_requests=150, seed=11, check=check, **kwargs,
+def _run(**options):
+    return run_spec(
+        SimulationSpec(
+            config=SSDConfig.small(logical_fraction=0.4),
+            workload=WorkloadSpec("OLTP", n_requests=150),
+            ftl="cube",
+            host=HostSpec(queue_depth=8),
+            options=RunOptions(**options),
+            prefill=0.4,
+            seed=11,
+        )
     )
 
 
@@ -65,13 +72,14 @@ class TestShardEquality:
         return [
             RunSpec(
                 name=f"{ftl}-{workload}",
-                config=config,
-                workload=workload,
-                ftl=ftl,
-                queue_depth=8,
-                prefill=0.4,
-                n_requests=150,
-                telemetry=True,
+                spec=SimulationSpec(
+                    config=config,
+                    workload=WorkloadSpec(workload, n_requests=150),
+                    ftl=ftl,
+                    host=HostSpec(queue_depth=8),
+                    options=RunOptions(telemetry=True),
+                    prefill=0.4,
+                ),
             )
             for ftl in ("page", "cube")
             for workload in ("OLTP", "Mail")

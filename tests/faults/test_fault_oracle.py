@@ -33,8 +33,9 @@ class TestOracleUnderFaults:
     def test_recovery_paths_actually_fired(self):
         """The campaign must exercise recovery, otherwise this suite
         proves nothing about it."""
-        from repro.api import run_simulation
+        from repro.api import run_spec
         from repro.check.fuzz import random_trace
+        from repro.specs import HostSpec, RunOptions, SimulationSpec
 
         config = SSDConfig.small(logical_fraction=0.4).with_faults(
             get_campaign("heavy")
@@ -42,9 +43,16 @@ class TestOracleUnderFaults:
         trace = random_trace(
             config.logical_pages, 800, seed=42, read_fraction=0.35
         )
-        result = run_simulation(
-            config, trace, ftl="cube", queue_depth=8, prefill=0.4,
-            seed=42, check=CheckConfig.strict(),
+        result = run_spec(
+            SimulationSpec(
+                config=config,
+                workload=trace,
+                ftl="cube",
+                host=HostSpec(queue_depth=8),
+                options=RunOptions(check=CheckConfig.strict()),
+                prefill=0.4,
+                seed=42,
+            )
         )
         assert result.check["violations"] == 0
         recovery = result.stats.recovery

@@ -20,9 +20,10 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import run_simulation
+from repro.api import run_spec
 from repro.check import InvariantChecker, parse_check_level
 from repro.check.fuzz import random_trace
+from repro.specs import HostSpec, RunOptions, SimulationSpec
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
 
@@ -100,10 +101,17 @@ def test_cmt_capacity_is_pure_cache(seed):
     )
     digests = set()
     for capacity in (1, max(1, N_TPAGES // 4), N_TPAGES * MAPPINGS_PER_TPAGE):
-        result = run_simulation(
-            CONFIG, trace, ftl="dftl",
-            cmt_capacity=capacity,
-            queue_depth=8, prefill=0.4, seed=seed, check="strict",
+        result = run_spec(
+            SimulationSpec(
+                config=CONFIG,
+                workload=trace,
+                ftl="dftl",
+                host=HostSpec(queue_depth=8),
+                options=RunOptions(check="strict"),
+                prefill=0.4,
+                seed=seed,
+                ftl_kwargs={"cmt_capacity": capacity},
+            )
         )
         assert result.check["violations"] == 0
         digests.add(result.check["state_digest"])

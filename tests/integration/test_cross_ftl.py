@@ -11,7 +11,7 @@ import pytest
 from repro.nand.reliability import AgingState
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
-from repro.workloads import make_workload
+from repro.workloads import build_workload
 from repro.workloads.base import IORequest, Trace
 from repro.workloads.synthetic import uniform_random_trace
 
@@ -42,7 +42,7 @@ class TestLogicalEquivalence:
         for ftl in ALL_FTLS:
             config = SSDConfig.small(store_tags=True, env_shift_prob=0.0)
             sim = SSDSimulation(config, ftl=ftl)
-            trace = make_workload(workload, config.logical_pages, 400, seed=13)
+            trace = build_workload(workload, config.logical_pages, 400, seed=13)
             sim.run(trace, queue_depth=8)
             sim.ftl.mapper.check_invariants()
             views[ftl] = _final_data_view(sim)

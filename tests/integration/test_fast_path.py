@@ -13,9 +13,10 @@ import heapq
 
 import pytest
 
-from repro.api import run_simulation
+from repro.api import run_spec
 from repro.nand.reliability import AgingState
 from repro.sim.engine import Engine
+from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 from tests.helpers.determinism import assert_files_identical
 
@@ -50,10 +51,16 @@ def _stepped_run(self, until=None, max_events=None, profiler=None):
 
 
 def _run_traced(path, ftl, aging):
-    config = SSDConfig.small(logical_fraction=0.4, aging=aging)
-    run_simulation(
-        config, "OLTP", ftl=ftl, queue_depth=8, prefill=0.4,
-        n_requests=80, seed=7, trace=str(path),
+    run_spec(
+        SimulationSpec(
+            config=SSDConfig.small(logical_fraction=0.4, aging=aging),
+            workload=WorkloadSpec("OLTP", n_requests=80),
+            ftl=ftl,
+            host=HostSpec(queue_depth=8),
+            options=RunOptions(trace=str(path)),
+            prefill=0.4,
+            seed=7,
+        )
     )
 
 

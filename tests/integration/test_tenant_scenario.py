@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.api import run_simulation, run_tenant_scenario
+from repro.api import run_spec, run_tenant_scenario
 from repro.specs import HostSpec, SimulationSpec, TenantSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 from tests.helpers.determinism import assert_snapshots_identical
@@ -42,7 +42,7 @@ def _scenario_spec(seed=7):
 
 class TestTenantRun:
     def test_per_tenant_stats_partition_the_run(self):
-        result = run_simulation(_scenario_spec())
+        result = run_spec(_scenario_spec())
         stats = result.stats
         assert stats.completed_requests == 160
         assert set(stats.tenants) == {"oltp", "web"}
@@ -53,7 +53,7 @@ class TestTenantRun:
             assert tenant.p99_us > 0
 
     def test_tenants_key_in_stats_dict(self):
-        stats = run_simulation(_scenario_spec()).stats
+        stats = run_spec(_scenario_spec()).stats
         payload = stats.to_dict()
         assert set(payload["tenants"]) == {"oltp", "web"}
         for block in payload["tenants"].values():
@@ -61,15 +61,19 @@ class TestTenantRun:
             assert block["iops"] > 0
 
     def test_untenanted_run_omits_key(self):
-        config = SSDConfig.small()
-        result = run_simulation(
-            config, "OLTP", n_requests=40, prefill=0.4, seed=7
+        result = run_spec(
+            SimulationSpec(
+                config=SSDConfig.small(),
+                workload=WorkloadSpec("OLTP", n_requests=40),
+                prefill=0.4,
+                seed=7,
+            )
         )
         assert "tenants" not in result.stats.to_dict()
 
     def test_same_seed_same_result(self):
-        one = run_simulation(_scenario_spec()).stats.to_dict()
-        two = run_simulation(_scenario_spec()).stats.to_dict()
+        one = run_spec(_scenario_spec()).stats.to_dict()
+        two = run_spec(_scenario_spec()).stats.to_dict()
         assert_snapshots_identical(one, two, "repeated tenant runs")
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 import repro
-from repro.api import SimulationResult, run_simulation
+from repro.api import SimulationResult, run_spec
+from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 from repro.workloads.synthetic import uniform_random_trace
 
@@ -11,9 +12,14 @@ from repro.workloads.synthetic import uniform_random_trace
 class TestRunSimulation:
     def test_happy_path_by_name(self):
         config = SSDConfig.small(logical_fraction=0.4)
-        result = run_simulation(
-            config, "OLTP", ftl="cube", queue_depth=8, prefill=0.4,
-            n_requests=200,
+        result = run_spec(
+            SimulationSpec(
+                config=config,
+                workload=WorkloadSpec("OLTP", n_requests=200),
+                ftl="cube",
+                host=HostSpec(queue_depth=8),
+                prefill=0.4,
+            )
         )
         assert isinstance(result, SimulationResult)
         assert result.stats.completed_requests == 200
@@ -27,17 +33,28 @@ class TestRunSimulation:
         workload = uniform_random_trace(
             config.logical_pages, 150, read_fraction=0.5, seed=3
         )
-        result = run_simulation(
-            config, workload, ftl="page", queue_depth=8, prefill=0.4
+        result = run_spec(
+            SimulationSpec(
+                config=config,
+                workload=workload,
+                ftl="page",
+                host=HostSpec(queue_depth=8),
+                prefill=0.4,
+            )
         )
         assert result.stats.completed_requests == 150
         assert result.stats.ftl_name == "pageFTL"
 
     def test_schema_version_2(self):
         config = SSDConfig.small(logical_fraction=0.4)
-        result = run_simulation(
-            config, "OLTP", ftl="cube", queue_depth=8, prefill=0.4,
-            n_requests=100,
+        result = run_spec(
+            SimulationSpec(
+                config=config,
+                workload=WorkloadSpec("OLTP", n_requests=100),
+                ftl="cube",
+                host=HostSpec(queue_depth=8),
+                prefill=0.4,
+            )
         )
         payload = result.to_dict()
         assert payload["schema_version"] == 2
@@ -47,9 +64,15 @@ class TestRunSimulation:
 
     def test_memory_trace_and_metrics_together(self):
         config = SSDConfig.small(logical_fraction=0.4)
-        result = run_simulation(
-            config, "OLTP", ftl="cube", queue_depth=8, prefill=0.4,
-            n_requests=100, trace="memory", metrics_interval=1000.0,
+        result = run_spec(
+            SimulationSpec(
+                config=config,
+                workload=WorkloadSpec("OLTP", n_requests=100),
+                ftl="cube",
+                host=HostSpec(queue_depth=8),
+                options=RunOptions(trace="memory", metrics_interval=1000.0),
+                prefill=0.4,
+            )
         )
         assert result.spans
         assert result.metrics
@@ -58,9 +81,15 @@ class TestRunSimulation:
     def test_jsonl_trace_written_and_closed(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         config = SSDConfig.small(logical_fraction=0.4)
-        result = run_simulation(
-            config, "OLTP", ftl="cube", queue_depth=8, prefill=0.4,
-            n_requests=50, trace=path,
+        result = run_spec(
+            SimulationSpec(
+                config=config,
+                workload=WorkloadSpec("OLTP", n_requests=50),
+                ftl="cube",
+                host=HostSpec(queue_depth=8),
+                options=RunOptions(trace=path),
+                prefill=0.4,
+            )
         )
         assert result.trace_path == path
         assert result.spans is None
@@ -69,8 +98,13 @@ class TestRunSimulation:
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError):
-            run_simulation(SSDConfig.small(), "NoSuchWorkload", n_requests=10)
+            run_spec(
+                SimulationSpec(
+                    config=SSDConfig.small(),
+                    workload=WorkloadSpec("NoSuchWorkload", n_requests=10),
+                )
+            )
 
     def test_exported_from_package_root(self):
-        assert repro.run_simulation is run_simulation
         assert repro.SimulationResult is SimulationResult
+        assert "SimulationResult" in repro.__all__

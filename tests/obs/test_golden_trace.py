@@ -11,20 +11,25 @@ perturbation (fix it).
 
 import os
 
-import pytest
-
-from repro.api import run_simulation, spec_from_kwargs
+from repro.api import run_spec
+from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 from tests.helpers.determinism import assert_files_identical
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "trace.jsonl")
 
 
-def _run_traced(path, **kwargs):
-    config = SSDConfig.small(logical_fraction=0.4)
-    return run_simulation(
-        config, "OLTP", ftl="cube", queue_depth=8, prefill=0.4,
-        n_requests=120, seed=7, trace=path, **kwargs,
+def _run_traced(path, **options):
+    return run_spec(
+        SimulationSpec(
+            config=SSDConfig.small(logical_fraction=0.4),
+            workload=WorkloadSpec("OLTP", n_requests=120),
+            ftl="cube",
+            host=HostSpec(queue_depth=8),
+            options=RunOptions(trace=path, **options),
+            prefill=0.4,
+            seed=7,
+        )
     )
 
 
@@ -41,35 +46,20 @@ class TestGoldenTrace:
 
 
 class TestSpecFormIdentity:
-    """The kwarg shim and the spec form must be the *same run*: both
-    funnel through run_spec, so their span traces are byte-identical
-    for every FTL."""
-
-    @pytest.mark.parametrize("ftl", ["page", "vert", "cube", "oracle"])
-    def test_kwargs_vs_spec_trace_bytes(self, tmp_path, ftl):
-        config = SSDConfig.small(logical_fraction=0.4)
-        kwargs_path = str(tmp_path / f"kwargs-{ftl}.jsonl")
-        run_simulation(
-            config, "OLTP", ftl=ftl, queue_depth=8, prefill=0.4,
-            n_requests=120, seed=7, trace=kwargs_path,
-        )
-        spec_path = str(tmp_path / f"spec-{ftl}.jsonl")
-        spec = spec_from_kwargs(
-            config, "OLTP", ftl=ftl, queue_depth=8, prefill=0.4,
-            n_requests=120, seed=7, trace=spec_path,
-        )
-        run_simulation(spec)
-        assert_files_identical(
-            kwargs_path, spec_path, f"kwarg vs spec trace ({ftl})"
-        )
-
     def test_spec_form_matches_golden(self, tmp_path):
-        """The spec form reproduces the committed golden bytes of the
-        historical kwarg path."""
+        """A spec written out field by field, every default spelled out,
+        reproduces the committed golden bytes."""
         path = str(tmp_path / "trace.jsonl")
-        spec = spec_from_kwargs(
-            SSDConfig.small(logical_fraction=0.4), "OLTP", ftl="cube",
-            queue_depth=8, prefill=0.4, n_requests=120, seed=7, trace=path,
+        spec = SimulationSpec(
+            config=SSDConfig.small(logical_fraction=0.4),
+            workload=WorkloadSpec("OLTP", n_requests=120),
+            ftl="cube",
+            host=HostSpec(queue_depth=8, open_loop=False),
+            options=RunOptions(trace=path),
+            warmup_requests=0,
+            prefill=0.4,
+            seed=7,
+            ftl_kwargs={},
         )
-        run_simulation(spec)
+        run_spec(spec)
         assert_files_identical(path, GOLDEN, "spec-form trace vs golden")

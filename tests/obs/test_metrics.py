@@ -2,21 +2,25 @@
 
 import pytest
 
-from repro.api import run_simulation
+from repro.api import run_spec
 from repro.obs.analyze import metrics_report, metrics_timeline
 from repro.obs.metrics import MetricsSampler
+from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 
 
-def _run(metrics_interval=None, **kwargs):
-    config = SSDConfig.small(logical_fraction=0.4)
-    defaults = dict(
-        queue_depth=8, warmup_requests=0, prefill=0.4, n_requests=300, seed=7
-    )
-    defaults.update(kwargs)
-    return run_simulation(
-        config, "OLTP", ftl="cube", metrics_interval=metrics_interval,
-        **defaults,
+def _run(metrics_interval=None):
+    return run_spec(
+        SimulationSpec(
+            config=SSDConfig.small(logical_fraction=0.4),
+            workload=WorkloadSpec("OLTP", n_requests=300),
+            ftl="cube",
+            host=HostSpec(queue_depth=8),
+            options=RunOptions(metrics_interval=metrics_interval),
+            warmup_requests=0,
+            prefill=0.4,
+            seed=7,
+        )
     )
 
 

@@ -3,17 +3,23 @@ contract: attaching either must not change any simulated result."""
 
 import pytest
 
-from repro.api import run_simulation
+from repro.api import run_spec
+from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 
 
-def _run(**kwargs):
-    config = SSDConfig.small(logical_fraction=0.4)
-    defaults = dict(
-        ftl="cube", queue_depth=8, prefill=0.4, n_requests=300, seed=7
+def _run(**options):
+    return run_spec(
+        SimulationSpec(
+            config=SSDConfig.small(logical_fraction=0.4),
+            workload=WorkloadSpec("OLTP", n_requests=300),
+            ftl="cube",
+            host=HostSpec(queue_depth=8),
+            options=RunOptions(**options),
+            prefill=0.4,
+            seed=7,
+        )
     )
-    defaults.update(kwargs)
-    return run_simulation(config, "OLTP", **defaults)
 
 
 class TestDeviceTelemetry:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import run_simulation
+from repro.api import run_spec
 from repro.nand.reliability import AgingState
 from repro.obs.analyze import (
     breakdown_report,
@@ -14,19 +14,28 @@ from repro.obs.analyze import (
     validate_trace,
 )
 from repro.obs.trace import JsonlSink, NullSink, Span, Tracer
+from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 
 
-def _run_traced(workload="OLTP", ftl="cube", aging=None, **kwargs):
+def _run_traced(
+    workload="OLTP", ftl="cube", aging=None, n_requests=300, trace="memory"
+):
     config = SSDConfig.small(logical_fraction=0.4)
     if aging is not None:
         config = config.with_aging(aging)
-    defaults = dict(
-        queue_depth=8, warmup_requests=0, prefill=0.4, n_requests=300,
-        seed=7, trace="memory",
+    return run_spec(
+        SimulationSpec(
+            config=config,
+            workload=WorkloadSpec(workload, n_requests=n_requests),
+            ftl=ftl,
+            host=HostSpec(queue_depth=8),
+            options=RunOptions(trace=trace),
+            warmup_requests=0,
+            prefill=0.4,
+            seed=7,
+        )
     )
-    defaults.update(kwargs)
-    return run_simulation(config, workload, ftl=ftl, **defaults)
 
 
 class TestSpan:
@@ -147,9 +156,14 @@ class TestBreakdown:
 
     def test_breakdown_requires_trace(self):
         config = SSDConfig.small(logical_fraction=0.4)
-        result = run_simulation(
-            config, "OLTP", ftl="cube", queue_depth=8, prefill=0.4,
-            n_requests=50,
+        result = run_spec(
+            SimulationSpec(
+                config=config,
+                workload=WorkloadSpec("OLTP", n_requests=50),
+                ftl="cube",
+                host=HostSpec(queue_depth=8),
+                prefill=0.4,
+            )
         )
         with pytest.raises(ValueError):
             result.breakdown()
@@ -163,9 +177,15 @@ class TestGcAttribution:
         workload = uniform_random_trace(
             config.logical_pages, 800, read_fraction=0.2, seed=5
         )
-        result = run_simulation(
-            config, workload, ftl="cube", queue_depth=8, prefill=0.95,
-            trace="memory",
+        result = run_spec(
+            SimulationSpec(
+                config=config,
+                workload=workload,
+                ftl="cube",
+                host=HostSpec(queue_depth=8),
+                options=RunOptions(trace="memory"),
+                prefill=0.95,
+            )
         )
         background = [
             span for span in result.spans

@@ -3,10 +3,11 @@ validation a resume performs before trusting a checkpoint."""
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-from repro.api import run_simulation
+from repro.api import run_spec
 from repro.persist import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointError,
@@ -18,6 +19,7 @@ from repro.persist import (
     validate_header,
     write_checkpoint,
 )
+from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 
 
@@ -115,87 +117,123 @@ class TestContainer:
 
 
 class TestResumeValidation:
-    def _checkpoint(self, tmp_path, config, **overrides):
-        kwargs = dict(
-            n_requests=120, seed=9, prefill=0.4,
-            checkpoint_every=40, checkpoint_dir=str(tmp_path / "out"),
+    def _resume_spec(self, tmp_path, config):
+        """Checkpoint a run; return the spec that resumes its last
+        checkpoint."""
+        spec = SimulationSpec(
+            config=config,
+            workload=WorkloadSpec("OLTP", n_requests=120),
+            ftl="cube",
+            options=RunOptions(
+                checkpoint_every=40, checkpoint_dir=str(tmp_path / "out")
+            ),
+            prefill=0.4,
+            seed=9,
         )
-        kwargs.update(overrides)
-        run_simulation(config, "OLTP", ftl="cube", **kwargs)
-        return latest_checkpoint(str(tmp_path / "out"))
+        run_spec(spec)
+        return spec.with_options(
+            checkpoint_every=None,
+            checkpoint_dir=None,
+            resume_from=latest_checkpoint(str(tmp_path / "out")),
+        )
 
     def test_config_fingerprint_mismatch(self, tmp_path):
         config = SSDConfig.small()
-        checkpoint = self._checkpoint(tmp_path, config)
+        resume = self._resume_spec(tmp_path, config)
         other = SSDConfig.small(buffer_capacity_pages=12)
         assert config_fingerprint(other) != config_fingerprint(config)
         with pytest.raises(CheckpointError, match="fingerprint"):
-            run_simulation(other, "OLTP", ftl="cube", seed=9,
-                           n_requests=120, resume_from=checkpoint)
+            run_spec(replace(resume, config=other))
 
     def test_ftl_mismatch(self, tmp_path):
-        config = SSDConfig.small()
-        checkpoint = self._checkpoint(tmp_path, config)
+        resume = self._resume_spec(tmp_path, SSDConfig.small())
         with pytest.raises(CheckpointError, match="ftl"):
-            run_simulation(config, "OLTP", ftl="page", seed=9,
-                           n_requests=120, resume_from=checkpoint)
+            run_spec(replace(resume, ftl="page"))
 
     def test_seed_mismatch(self, tmp_path):
-        config = SSDConfig.small()
-        checkpoint = self._checkpoint(tmp_path, config)
+        resume = self._resume_spec(tmp_path, SSDConfig.small())
         with pytest.raises(CheckpointError, match="seed"):
-            run_simulation(config, "OLTP", ftl="cube", seed=10,
-                           n_requests=120, resume_from=checkpoint)
+            run_spec(replace(resume, seed=10))
 
     def test_workload_mismatch(self, tmp_path):
-        config = SSDConfig.small()
-        checkpoint = self._checkpoint(tmp_path, config)
+        resume = self._resume_spec(tmp_path, SSDConfig.small())
         with pytest.raises(CheckpointError, match="workload"):
-            run_simulation(config, "Proxy", ftl="cube", seed=9,
-                           n_requests=120, resume_from=checkpoint)
+            run_spec(
+                replace(resume, workload=WorkloadSpec("Proxy", n_requests=120))
+            )
 
 
 class TestApiGuards:
     def test_checkpoint_without_dir_raises(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
-            run_simulation(SSDConfig.small(), "OLTP", checkpoint_every=10)
+            run_spec(
+                SimulationSpec(
+                    config=SSDConfig.small(),
+                    workload=WorkloadSpec("OLTP"),
+                    options=RunOptions(checkpoint_every=10),
+                )
+            )
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"trace": "memory"},
-            {"profile": True},
-            {"metrics_interval": 100.0},
-            {"open_loop": True},
-            {"max_events": 10},
+            {"options": {"trace": "memory"}},
+            {"options": {"profile": True}},
+            {"options": {"metrics_interval": 100.0}},
+            {"host": HostSpec(queue_depth=None, open_loop=True)},
+            {"options": {"max_events": 10}},
         ],
     )
     def test_incompatible_options_raise(self, tmp_path, kwargs):
+        spec = SimulationSpec(
+            config=SSDConfig.small(),
+            workload=WorkloadSpec("OLTP"),
+            host=kwargs.get("host", HostSpec()),
+            options=RunOptions(
+                checkpoint_every=10,
+                checkpoint_dir=str(tmp_path),
+                **kwargs.get("options", {}),
+            ),
+        )
         with pytest.raises(ValueError, match="incompatible"):
-            run_simulation(
-                SSDConfig.small(), "OLTP",
-                checkpoint_every=10, checkpoint_dir=str(tmp_path),
-                **kwargs,
-            )
+            run_spec(spec)
 
     def test_telemetry_on_resume_raises(self, tmp_path):
-        config = SSDConfig.small()
-        run_simulation(
-            config, "OLTP", ftl="cube", n_requests=120, seed=9,
-            prefill=0.4, checkpoint_every=40,
-            checkpoint_dir=str(tmp_path / "out"),
+        spec = SimulationSpec(
+            config=SSDConfig.small(),
+            workload=WorkloadSpec("OLTP", n_requests=120),
+            ftl="cube",
+            options=RunOptions(
+                checkpoint_every=40, checkpoint_dir=str(tmp_path / "out")
+            ),
+            prefill=0.4,
+            seed=9,
         )
+        run_spec(spec)
         checkpoint = latest_checkpoint(str(tmp_path / "out"))
         with pytest.raises(ValueError, match="telemetry"):
-            run_simulation(
-                config, "OLTP", ftl="cube", seed=9, n_requests=120,
-                telemetry=True, resume_from=checkpoint,
+            run_spec(
+                spec.with_options(
+                    checkpoint_every=None,
+                    checkpoint_dir=None,
+                    resume_from=checkpoint,
+                    telemetry=True,
+                )
             )
 
     def test_telemetry_allowed_straight_through(self, tmp_path):
-        result = run_simulation(
-            SSDConfig.small(), "OLTP", ftl="cube", n_requests=120,
-            seed=9, prefill=0.4, telemetry=True,
-            checkpoint_every=40, checkpoint_dir=str(tmp_path),
+        result = run_spec(
+            SimulationSpec(
+                config=SSDConfig.small(),
+                workload=WorkloadSpec("OLTP", n_requests=120),
+                ftl="cube",
+                options=RunOptions(
+                    telemetry=True,
+                    checkpoint_every=40,
+                    checkpoint_dir=str(tmp_path),
+                ),
+                prefill=0.4,
+                seed=9,
+            )
         )
         assert result.telemetry is not None

@@ -11,10 +11,11 @@ import json
 
 import pytest
 
-from repro.api import run_simulation
+from repro.api import run_spec
 from repro.faults import get_campaign
 from repro.nand.reliability import AgingState
 from repro.persist import latest_checkpoint, list_checkpoints, read_header
+from repro.specs import RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 
 REQUESTS = 300
@@ -30,18 +31,21 @@ def _config(aged, faults):
     return config
 
 
-def _run(config, ftl, out_dir, resume_from=None, **overrides):
-    kwargs = dict(
-        n_requests=REQUESTS,
-        seed=11,
-        prefill=0.5,
-        check="on",
-        checkpoint_every=EVERY,
-        checkpoint_dir=str(out_dir),
-    )
-    kwargs.update(overrides)
-    return run_simulation(
-        config, "OLTP", ftl=ftl, resume_from=resume_from, **kwargs
+def _run(config, ftl, out_dir, resume_from=None, check="on"):
+    return run_spec(
+        SimulationSpec(
+            config=config,
+            workload=WorkloadSpec("OLTP", n_requests=REQUESTS),
+            ftl=ftl,
+            options=RunOptions(
+                check=check,
+                checkpoint_every=EVERY,
+                checkpoint_dir=str(out_dir),
+                resume_from=resume_from,
+            ),
+            prefill=0.5,
+            seed=11,
+        )
     )
 
 
@@ -111,19 +115,28 @@ class TestGcAndFlushHeavyBarriers:
         every capture must still find the stack quiescent (the
         state_dict barrier assertions raise otherwise) and resume must
         stay byte-identical."""
-        config = SSDConfig.small()
-        straight = run_simulation(
-            config, "OLTP", ftl="cube", n_requests=120, seed=3,
-            prefill=0.9, check="on",
-            checkpoint_every=7, checkpoint_dir=str(tmp_path / "s"),
+        spec = SimulationSpec(
+            config=SSDConfig.small(),
+            workload=WorkloadSpec("OLTP", n_requests=120),
+            ftl="cube",
+            options=RunOptions(
+                check="on",
+                checkpoint_every=7,
+                checkpoint_dir=str(tmp_path / "s"),
+            ),
+            prefill=0.9,
+            seed=3,
         )
+        straight = run_spec(spec)
         checkpoints = list_checkpoints(str(tmp_path / "s"))
         assert len(checkpoints) == 17
         # resume from a mid-run checkpoint (GC has already fired by then)
-        resumed = run_simulation(
-            config, "OLTP", ftl="cube", n_requests=120, seed=3,
-            prefill=0.9, check="on",
-            resume_from=checkpoints[8], checkpoint_dir=str(tmp_path / "r"),
+        resumed = run_spec(
+            spec.with_options(
+                checkpoint_every=None,
+                checkpoint_dir=str(tmp_path / "r"),
+                resume_from=checkpoints[8],
+            )
         )
         assert _key(resumed) == _key(straight)
 
@@ -132,12 +145,12 @@ class TestGcAndFlushHeavyBarriers:
         staged host writes) must be impossible: state_dict() raises
         instead of capturing a torn snapshot."""
         from repro.ssd.controller import SSDSimulation
-        from repro.workloads import make_workload
+        from repro.workloads import build_workload
 
         config = SSDConfig.small()
         sim = SSDSimulation(config, ftl="cube")
         sim.prefill(0.5)
-        trace = make_workload("OLTP", config.logical_pages, 400, seed=11)
+        trace = build_workload("OLTP", config.logical_pages, 400, seed=11)
         engine = sim.controller.engine
         state = {"outstanding": 0}
         iterator = iter(trace.requests)

@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+from repro.parallel import derive_seed
+
+SPEC_SMOKE = Path(__file__).resolve().parents[1] / "examples" / "spec_smoke.json"
 
 
 class TestCharacterize:
@@ -116,6 +122,55 @@ class TestCompare:
         out = capsys.readouterr().out
         for name in ("pageFTL", "vertFTL", "cubeFTL", "dftl"):
             assert name in out
+
+
+class TestSweep:
+    """``sweep --json`` names each cell and records the seed, FTL and
+    workload it ran with, in both the flat-flags and the spec-file form."""
+
+    def _runs(self, tmp_path, args):
+        path = tmp_path / "sweep.json"
+        assert main(["sweep", *args, "--seed", "5", "--json", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        assert payload["base_seed"] == 5
+        return [
+            {key: run[key] for key in ("name", "seed", "ftl", "workload")}
+            for run in payload["runs"]
+        ]
+
+    @staticmethod
+    def _expected(cells):
+        return [
+            {"name": name, "seed": derive_seed(5, name), "ftl": ftl,
+             "workload": workload}
+            for name, ftl, workload in cells
+        ]
+
+    def test_flags_form(self, tmp_path, capsys):
+        runs = self._runs(tmp_path, [
+            "--ftls", "page,cube", "--workloads", "OLTP,Web",
+            "--requests", "60", "--warmup", "0",
+            "--blocks-per-chip", "8", "--prefill", "0.3",
+            "--queue-depth", "8",
+        ])
+        assert runs == self._expected([
+            ("page-OLTP-pe0-ret0", "page", "OLTP"),
+            ("page-Web-pe0-ret0", "page", "Web"),
+            ("cube-OLTP-pe0-ret0", "cube", "OLTP"),
+            ("cube-Web-pe0-ret0", "cube", "Web"),
+        ])
+
+    def test_spec_file_form(self, tmp_path, capsys):
+        runs = self._runs(tmp_path, [
+            "--spec", str(SPEC_SMOKE), "--ftls", "page,cube",
+            "--aging", "0:0", "2000:12",
+        ])
+        assert runs == self._expected([
+            ("page-OLTP-pe0-ret0", "page", "OLTP"),
+            ("page-OLTP-pe2000-ret12", "page", "OLTP"),
+            ("cube-OLTP-pe0-ret0", "cube", "OLTP"),
+            ("cube-OLTP-pe2000-ret12", "cube", "OLTP"),
+        ])
 
 
 class TestParser:

@@ -104,8 +104,9 @@ def run_case(
     name: str, ftl: str, workload: str, size: dict, seed: int, aging=None,
     checkpoint_every: Optional[int] = None,
 ) -> dict:
-    from repro.api import run_simulation
+    from repro.api import run_spec
     from repro.nand.geometry import BlockGeometry, SSDGeometry
+    from repro.specs import HostSpec, SimulationSpec, WorkloadSpec
     from repro.ssd.config import SSDConfig
 
     geometry = SSDGeometry(
@@ -117,18 +118,17 @@ def run_case(
     config = SSDConfig(geometry=geometry)
     if aging is not None:
         config = config.with_aging(aging)
-    started = time.perf_counter()
-    result = run_simulation(
-        config,
-        workload,
+    spec = SimulationSpec(
+        config=config,
+        workload=WorkloadSpec(workload, n_requests=size["requests"]),
         ftl=ftl,
-        queue_depth=size["queue_depth"],
+        host=HostSpec(queue_depth=size["queue_depth"]),
         warmup_requests=size["warmup"],
         prefill=size["prefill"],
-        n_requests=size["requests"],
         seed=seed,
-        telemetry=True,
     )
+    started = time.perf_counter()
+    result = run_spec(spec.with_options(telemetry=True))
     wall = time.perf_counter() - started
     stats = result.stats
     case = {
@@ -155,17 +155,10 @@ def run_case(
         ckpt_dir = tempfile.mkdtemp(prefix="bench-ckpt-")
         try:
             started = time.perf_counter()
-            ckpt_result = run_simulation(
-                config,
-                workload,
-                ftl=ftl,
-                queue_depth=size["queue_depth"],
-                warmup_requests=size["warmup"],
-                prefill=size["prefill"],
-                n_requests=size["requests"],
-                seed=seed,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=ckpt_dir,
+            ckpt_result = run_spec(
+                spec.with_options(
+                    checkpoint_every=checkpoint_every, checkpoint_dir=ckpt_dir
+                )
             )
             ckpt_wall = time.perf_counter() - started
             checkpoints = len(os.listdir(ckpt_dir))
