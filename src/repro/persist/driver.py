@@ -1,10 +1,10 @@
 """Segmented checkpoint/resume driver for :func:`repro.api.run_spec`.
 
-Checkpointing rides on the *quiescent barrier* contract of
-:meth:`repro.ssd.controller.SSDSimulation.run_in_segments`: the trace is
-replayed ``checkpoint_every`` host requests at a time, each segment runs
-to full event-queue drain, and the drained instant between segments is
-where every component's ``state_dict()`` is captured -- no in-flight
+Checkpointing rides on the *quiescent barrier* contract of the host
+loop, :func:`repro.ssd.host.replay` with ``segment_requests``: the trace
+is replayed ``checkpoint_every`` host requests at a time, each segment
+runs to full event-queue drain, and the drained instant between segments
+is where every component's ``state_dict()`` is captured -- no in-flight
 programs, no pending host writes, no active GC, empty FIFO queues.  The
 component ``state_dict()`` methods *assert* that quiescence, so a
 checkpoint can never silently capture a half-finished operation.
@@ -36,6 +36,7 @@ from repro.persist.checkpoint import (
 )
 from repro.specs import SimulationSpec, SpecError, check_level_name
 from repro.ssd.controller import SSDSimulation
+from repro.ssd.host import replay
 from repro.workloads.base import Trace
 
 
@@ -173,7 +174,8 @@ def run_checkpointed(spec: SimulationSpec):
             checkpoint_dir, header, capture_state(sim, accounting)
         )
 
-    stats = sim.run_in_segments(
+    stats = replay(
+        sim,
         trace,
         queue_depth=spec.host.queue_depth,
         warmup_requests=spec.warmup_requests,
@@ -244,7 +246,8 @@ def _resume(spec: SimulationSpec):
         next_header["clock_us"] = float(sim.controller.engine.now)
         write_checkpoint(out_dir, next_header, capture_state(sim, accounting))
 
-    stats = sim.run_in_segments(
+    stats = replay(
+        sim,
         trace,
         queue_depth=header["queue_depth"],
         warmup_requests=header["warmup_requests"],

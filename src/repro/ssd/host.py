@@ -1,86 +1,58 @@
-"""Host replay models: closed-loop, NCQ open-loop, unbounded open-loop.
+"""Host replay: one loop that issues a trace under three host models.
 
-This module owns *how the host issues a trace* -- previously an ad-hoc
-split between ``SSDSimulation.run`` (closed loop) and
-``SSDSimulation.run_open_loop`` (unbounded open loop).  Three modes,
-selected by :func:`replay`'s ``mode`` (the string
-:attr:`repro.specs.HostSpec.mode` computes):
+:func:`replay` is the only host loop in the simulator.  The host keeps
+a FIFO of requests waiting for a queue slot; a completion frees a slot
+and issues the head of that FIFO.  The ``mode`` (the string
+:attr:`repro.specs.HostSpec.mode` computes) decides only how requests
+reach the FIFO and where their latency starts:
 
 ``"closed"``
-    ``queue_depth`` requests outstanding at all times; each completion
-    immediately issues the next request.  Arrival timestamps, if any,
-    are ignored.  Latency is measured from issue to completion.
+    The whole trace waits from the start, so ``queue_depth`` requests
+    are outstanding at all times and each completion issues the next
+    request.  Arrival timestamps, if any, are ignored.  Latency is
+    measured from issue to completion.
 
 ``"ncq"``
-    An explicit NCQ model: requests *arrive* at their trace timestamps
-    into a queue of ``queue_depth`` slots.  An arrival finding a free
-    slot issues immediately; an arrival finding all slots busy waits in
-    FIFO order for a completion to free one (backpressure).  Latency is
-    measured from **arrival** to completion, so queue-full wait time is
-    part of the reported latency -- the host-visible number.
+    Requests *arrive* at their trace timestamps.  An arrival finding a
+    free slot issues immediately; an arrival finding all
+    ``queue_depth`` slots busy waits in FIFO order for a completion
+    (backpressure).  Latency is measured from **arrival** to
+    completion, so queue-full wait time is part of the reported latency
+    -- the host-visible number.
 
 ``"unbounded"``
-    Every request issues exactly at its arrival timestamp regardless of
-    completions (infinite queue; the legacy open-loop model).  Under
-    overload the backlog grows without bound and latencies reflect pure
-    queueing delay.
+    NCQ with no slot limit: every request issues exactly at its
+    arrival timestamp regardless of completions.  Under overload the
+    backlog grows without bound and latencies reflect pure queueing
+    delay.
 
-All three modes account per-tenant statistics
-(:class:`~repro.ssd.stats.TenantStats`) whenever the trace carries
-tenant tags; untagged traces produce byte-identical output to the
-pre-host-model code paths.
+The first ``warmup_requests`` completions are simulated but excluded
+from IOPS and latency statistics in every mode -- they bring the WAM's
+active blocks, the OPM's monitored parameters and the ORT into steady
+state.  Per-tenant statistics (:class:`~repro.ssd.stats.TenantStats`)
+are kept whenever the trace carries tenant tags.
+
+Checkpointing (:mod:`repro.persist`) runs the closed loop in segments:
+with ``segment_requests`` set, the trace is issued that many requests
+at a time and each slice drains the event queue before the next one
+starts.  The drained instant is the quiescent barrier at which
+``on_barrier(accounting)`` fires (after every slice but the last);
+``resume_accounting`` -- an ``accounting`` dict loaded from a
+checkpoint -- restores that bookkeeping and skips the requests it
+counts as completed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional
+from functools import partial
+from typing import Callable, Dict, Optional
 
 from repro.ssd.stats import SimulationStats, TenantStats
 from repro.workloads.base import IORequest, Trace
 
 #: replay modes :func:`replay` accepts
 REPLAY_MODES = ("closed", "ncq", "unbounded")
-
-
-def _new_stats(sim, trace: Trace) -> SimulationStats:
-    stats = SimulationStats(ftl_name=sim.ftl.name, workload=trace.name)
-    if trace.tenants:
-        stats.tenants = {name: TenantStats() for name in trace.tenants}
-    return stats
-
-
-def _note_tenant(stats: SimulationStats, request: IORequest, latency: float) -> None:
-    """Mirror one measured completion into its tenant's slice."""
-    if stats.tenants is None or request.tenant is None:
-        return
-    tenant = stats.tenants[request.tenant]
-    tenant.completed_requests += 1
-    if request.is_read:
-        tenant.read_latency.add(latency)
-    else:
-        tenant.write_latency.add(latency)
-
-
-def _require_arrivals(trace: Trace, mode: str) -> None:
-    if not trace.has_arrivals:
-        raise ValueError(
-            f"{mode} replay needs arrival times on every request; "
-            "stamp the trace with workloads.base.with_arrivals (or load "
-            "a recorded trace that carries timestamps)"
-        )
-
-
-def _finish_or_stall(sim, state, pending, waiting=None, max_events=None) -> None:
-    """Raise the stall diagnostic when the event queue drained early."""
-    from repro.ssd.controller import SimulationStalledError, _stall_message
-
-    stalled = dict(pending)
-    if waiting:
-        stalled.update({id(request): request for request in waiting})
-    if stalled and max_events is None:
-        sim._log_stall(state["completed"], stalled)
-        raise SimulationStalledError(_stall_message(state["completed"], stalled))
 
 
 def replay(
@@ -92,6 +64,9 @@ def replay(
     warmup_requests: int = 0,
     max_events: Optional[int] = None,
     metrics_interval_us: Optional[float] = None,
+    segment_requests: Optional[int] = None,
+    on_barrier: Optional[Callable[[dict], None]] = None,
+    resume_accounting: Optional[dict] = None,
 ) -> SimulationStats:
     """Replay a trace through a simulation under one host model."""
     if mode not in REPLAY_MODES:
@@ -99,214 +74,150 @@ def replay(
     if trace.logical_pages > sim.config.logical_pages:
         raise ValueError("trace logical space exceeds the SSD's")
     if mode == "unbounded":
-        return replay_unbounded(
-            sim,
-            trace,
-            max_events=max_events,
-            metrics_interval_us=metrics_interval_us,
-        )
-    if queue_depth is None or queue_depth < 1:
+        queue_depth = float("inf")
+    elif queue_depth is None or queue_depth < 1:
         raise ValueError("queue_depth must be >= 1")
     if not 0 <= warmup_requests < len(trace):
         raise ValueError("warmup_requests must be < len(trace)")
-    if mode == "ncq":
-        return replay_ncq(
-            sim,
-            trace,
-            queue_depth=queue_depth,
-            warmup_requests=warmup_requests,
-            max_events=max_events,
-            metrics_interval_us=metrics_interval_us,
+    if mode != "closed" and not trace.has_arrivals:
+        raise ValueError(
+            f"{mode} replay needs arrival times on every request; "
+            "stamp the trace with workloads.base.with_arrivals (or load "
+            "a recorded trace that carries timestamps)"
         )
-    return replay_closed(
-        sim,
-        trace,
-        queue_depth=queue_depth,
-        warmup_requests=warmup_requests,
-        max_events=max_events,
-        metrics_interval_us=metrics_interval_us,
-    )
+    if segment_requests is not None and (
+        segment_requests < 1
+        or mode != "closed"
+        or metrics_interval_us is not None
+        or sim.timeseries is not None
+    ):
+        # periodic samplers stop re-arming once the queue drains, so
+        # they would go silent after the first slice
+        raise ValueError(
+            "segment_requests must be >= 1, on a closed loop without "
+            "metrics sampling"
+        )
 
-
-# ---------------------------------------------------------------------------
-# closed loop
-# ---------------------------------------------------------------------------
-
-
-def replay_closed(
-    sim,
-    trace: Trace,
-    *,
-    queue_depth: int = 32,
-    warmup_requests: int = 0,
-    max_events: Optional[int] = None,
-    metrics_interval_us: Optional[float] = None,
-) -> SimulationStats:
-    """Fixed-queue-depth replay: a completion issues the next request.
-
-    The first ``warmup_requests`` completions are simulated but excluded
-    from IOPS and latency statistics -- they bring the WAM's active
-    blocks, the OPM's monitored parameters, and the ORT into steady
-    state (the paper's platform measures long steady-state runs).
-    """
     engine = sim.controller.engine
-    stats = _new_stats(sim, trace)
-    iterator = iter(trace.requests)
-    state = {"outstanding": 0, "completed": 0, "measure_start": None}
+    submit = sim.ftl.submit
+    requests = trace.requests
+    n_requests = len(requests)
+    stats = SimulationStats(ftl_name=sim.ftl.name, workload=trace.name)
+    tenants = None
+    if trace.tenants:
+        tenants = stats.tenants = {name: TenantStats() for name in trace.tenants}
+    #: requests arrived (open loop) or issued (closed loop) and not yet
+    #: completed, keyed by ``id(request)``; named by the stall diagnostic
     pending: Dict[int, IORequest] = {}
-    n_requests = len(trace)
-    sampler = sim._make_sampler(metrics_interval_us, lambda: state["completed"])
-    recorder = getattr(sim, "timeseries", None)
-    progress = getattr(sim, "progress", None)
+    #: arrival instant of each open-loop request not yet completed; a
+    #: closed-loop request has none, its latency starts at issue
+    arrived_us: Dict[int, float] = {}
+    waiting: deque = deque()
+    outstanding = 0
+    completed = 0
+    start_us = engine.now
+    measure_start = start_us if warmup_requests == 0 else None
+    if resume_accounting is not None:
+        completed = resume_accounting["completed"]
+        measure_start = resume_accounting["measure_start"]
+        start_us = resume_accounting["start_us"]
+        stats.read_latency.extend(resume_accounting["read_latency"])
+        stats.write_latency.extend(resume_accounting["write_latency"])
+    sampler = None
+    if metrics_interval_us is not None:
+        from repro.obs.metrics import MetricsSampler
+
+        sampler = MetricsSampler(
+            sim.ftl, metrics_interval_us, completed_fn=lambda: completed
+        )
+    recorder = sim.timeseries
+    progress = sim.progress
+
+    def issue(request: IORequest) -> None:
+        nonlocal outstanding
+        outstanding += 1
+        pending[id(request)] = request
+        submit(request, on_complete)
+
+    def arrive(request: IORequest) -> None:
+        pending[id(request)] = request
+        arrived_us[id(request)] = engine.now
+        if outstanding < queue_depth:
+            issue(request)
+        else:
+            waiting.append(request)
 
     def on_complete(active, now_us: float) -> None:
-        pending.pop(id(active.spec), None)
-        state["outstanding"] -= 1
-        state["completed"] += 1
+        nonlocal outstanding, completed, measure_start
+        request = active.spec
+        pending.pop(id(request), None)
+        latency = now_us - arrived_us.pop(id(request), active.issued_us)
+        outstanding -= 1
+        completed += 1
         if progress is not None:
-            progress(state["completed"], n_requests, now_us)
-        if state["completed"] == warmup_requests:
-            state["measure_start"] = now_us
-        elif state["completed"] > warmup_requests:
-            latency = now_us - active.issued_us
-            if active.spec.is_read:
+            progress(completed, n_requests, now_us)
+        if completed == warmup_requests:
+            measure_start = now_us
+        elif completed > warmup_requests:
+            if request.is_read:
                 stats.read_latency.add(latency)
             else:
                 stats.write_latency.add(latency)
-            _note_tenant(stats, active.spec, latency)
-        if state["completed"] == n_requests:
+            if tenants is not None and request.tenant is not None:
+                tenant = tenants[request.tenant]
+                tenant.completed_requests += 1
+                if request.is_read:
+                    tenant.read_latency.add(latency)
+                else:
+                    tenant.write_latency.add(latency)
+        if completed == n_requests:
             # stop re-arming so sampling never advances the clock past
             # the last host completion (it would distort IOPS)
             if sampler is not None:
                 sampler.stop()
             if recorder is not None:
                 recorder.stop()
-        issue_next()
-
-    def issue_next() -> None:
-        request = next(iterator, None)
-        if request is None:
-            return
-        state["outstanding"] += 1
-        pending[id(request)] = request
-        sim.ftl.submit(request, on_complete)
-
-    start_us = engine.now
-    if warmup_requests == 0:
-        state["measure_start"] = start_us
-    if sampler is not None:
-        sampler.start()
-    if recorder is not None:
-        recorder.start()
-    for _ in range(queue_depth):
-        issue_next()
-    engine.run(max_events=max_events, profiler=sim.profiler)
-    if state["outstanding"] > 0:
-        _finish_or_stall(sim, state, pending, max_events=max_events)
-    measure_start = state["measure_start"]
-    if measure_start is None:
-        measure_start = start_us
-    stats.duration_us = engine.now - measure_start
-    stats.completed_requests = state["completed"] - warmup_requests
-    stats.counters = sim.ftl.counters
-    stats.recovery = sim.ftl.recovery
-    if sampler is not None:
-        stats.metrics = sampler.finalize()
-    if recorder is not None:
-        recorder.finalize()
-    return stats
-
-
-# ---------------------------------------------------------------------------
-# NCQ open loop
-# ---------------------------------------------------------------------------
-
-
-def replay_ncq(
-    sim,
-    trace: Trace,
-    *,
-    queue_depth: int = 32,
-    warmup_requests: int = 0,
-    max_events: Optional[int] = None,
-    metrics_interval_us: Optional[float] = None,
-) -> SimulationStats:
-    """Arrival-driven replay through an N-slot queue with backpressure.
-
-    Requests arrive at their trace timestamps.  An arrival finding a
-    free slot issues immediately; otherwise it joins a FIFO wait list
-    and issues when a completion frees a slot.  Latency is measured from
-    the *arrival* timestamp, so time spent waiting for a slot counts --
-    this is the host-visible latency an application would observe
-    through a depth-N NCQ.
-    """
-    _require_arrivals(trace, "NCQ")
-    engine = sim.controller.engine
-    stats = _new_stats(sim, trace)
-    state = {"outstanding": 0, "completed": 0, "measure_start": None}
-    pending: Dict[int, IORequest] = {}
-    waiting: "deque[IORequest]" = deque()
-    arrival_of: Dict[int, float] = {}
-    n_requests = len(trace)
-    start_us = engine.now
-    sampler = sim._make_sampler(metrics_interval_us, lambda: state["completed"])
-    recorder = getattr(sim, "timeseries", None)
-    progress = getattr(sim, "progress", None)
-
-    def issue(request: IORequest) -> None:
-        state["outstanding"] += 1
-        pending[id(request)] = request
-        sim.ftl.submit(request, on_complete)
-
-    def on_complete(active, now_us: float) -> None:
-        request = active.spec
-        pending.pop(id(request), None)
-        state["outstanding"] -= 1
-        state["completed"] += 1
-        if progress is not None:
-            progress(state["completed"], n_requests, now_us)
-        if state["completed"] == warmup_requests:
-            state["measure_start"] = now_us
-        elif state["completed"] > warmup_requests:
-            latency = now_us - arrival_of.pop(id(request))
-            if request.is_read:
-                stats.read_latency.add(latency)
-            else:
-                stats.write_latency.add(latency)
-            _note_tenant(stats, request, latency)
-        if state["completed"] == n_requests:
-            if sampler is not None:
-                sampler.stop()
-            if recorder is not None:
-                recorder.stop()
-        if waiting and state["outstanding"] < queue_depth:
+        if waiting and outstanding < queue_depth:
             issue(waiting.popleft())
 
-    for request in trace:
-        arrival_us = start_us + request.arrival_us
-        arrival_of[id(request)] = arrival_us
-
-        def arrive(request=request) -> None:
-            if state["outstanding"] < queue_depth:
-                issue(request)
-            else:
-                waiting.append(request)
-
-        engine.schedule_at(arrival_us, arrive)
-    if warmup_requests == 0:
-        state["measure_start"] = start_us
+    if mode != "closed":
+        for request in requests:
+            engine.schedule_at(
+                start_us + request.arrival_us, partial(arrive, request)
+            )
     if sampler is not None:
         sampler.start()
     if recorder is not None:
         recorder.start()
-    engine.run(max_events=max_events, profiler=sim.profiler)
-    if state["outstanding"] > 0 or waiting:
-        _finish_or_stall(sim, state, pending, waiting, max_events=max_events)
-    measure_start = state["measure_start"]
+    position = completed
+    while True:
+        end = n_requests
+        if segment_requests is not None:
+            end = min(position + segment_requests, n_requests)
+        if mode == "closed":
+            waiting.extend(requests[position:end])
+            while waiting and outstanding < queue_depth:
+                issue(waiting.popleft())
+        engine.run(max_events=max_events, profiler=sim.profiler)
+        if (outstanding or waiting) and max_events is None:
+            _stall(sim, pending, completed)
+        position = end
+        if position >= n_requests:
+            break
+        if on_barrier is not None:
+            on_barrier(
+                {
+                    "completed": completed,
+                    "measure_start": measure_start,
+                    "start_us": start_us,
+                    "read_latency": stats.read_latency.sample_list(),
+                    "write_latency": stats.write_latency.sample_list(),
+                }
+            )
     if measure_start is None:
         measure_start = start_us
     stats.duration_us = engine.now - measure_start
-    stats.completed_requests = state["completed"] - warmup_requests
+    stats.completed_requests = completed - warmup_requests
     stats.counters = sim.ftl.counters
     stats.recovery = sim.ftl.recovery
     if sampler is not None:
@@ -316,83 +227,13 @@ def replay_ncq(
     return stats
 
 
-# ---------------------------------------------------------------------------
-# unbounded open loop
-# ---------------------------------------------------------------------------
+def _stall(sim, pending: Dict[int, IORequest], completed: int) -> None:
+    """The event queue drained with host requests still pending: log
+    the structured diagnostic and raise."""
+    from repro.ssd.controller import SimulationStalledError, _stall_message
+
+    sim._log_stall(completed, pending)
+    raise SimulationStalledError(_stall_message(completed, pending))
 
 
-def replay_unbounded(
-    sim,
-    trace: Trace,
-    *,
-    max_events: Optional[int] = None,
-    metrics_interval_us: Optional[float] = None,
-) -> SimulationStats:
-    """Replay a trace open-loop with an infinite queue: requests issue
-    at their arrival times regardless of completions.
-
-    Under overload the backlog grows and latencies reflect queueing --
-    the regime where the WAM's burst absorption shows directly.
-    """
-    _require_arrivals(trace, "open-loop")
-    engine = sim.controller.engine
-    stats = _new_stats(sim, trace)
-    state = {"outstanding": 0, "completed": 0}
-    pending: Dict[int, IORequest] = {}
-    start_us = engine.now
-    n_requests = len(trace)
-    sampler = sim._make_sampler(metrics_interval_us, lambda: state["completed"])
-    recorder = getattr(sim, "timeseries", None)
-    progress = getattr(sim, "progress", None)
-
-    def on_complete(active, now_us: float) -> None:
-        pending.pop(id(active.spec), None)
-        latency = now_us - active.issued_us
-        if active.spec.is_read:
-            stats.read_latency.add(latency)
-        else:
-            stats.write_latency.add(latency)
-        _note_tenant(stats, active.spec, latency)
-        state["outstanding"] -= 1
-        state["completed"] += 1
-        if progress is not None:
-            progress(state["completed"], n_requests, now_us)
-        if state["completed"] == n_requests:
-            if sampler is not None:
-                sampler.stop()
-            if recorder is not None:
-                recorder.stop()
-
-    if sampler is not None:
-        sampler.start()
-    if recorder is not None:
-        recorder.start()
-    for request in trace:
-
-        def issue(request=request) -> None:
-            state["outstanding"] += 1
-            pending[id(request)] = request
-            sim.ftl.submit(request, on_complete)
-
-        engine.schedule_at(start_us + request.arrival_us, issue)
-    engine.run(max_events=max_events, profiler=sim.profiler)
-    if state["outstanding"] > 0:
-        _finish_or_stall(sim, state, pending, max_events=max_events)
-    stats.duration_us = engine.now - start_us
-    stats.completed_requests = state["completed"]
-    stats.counters = sim.ftl.counters
-    stats.recovery = sim.ftl.recovery
-    if sampler is not None:
-        stats.metrics = sampler.finalize()
-    if recorder is not None:
-        recorder.finalize()
-    return stats
-
-
-__all__ = [
-    "REPLAY_MODES",
-    "replay",
-    "replay_closed",
-    "replay_ncq",
-    "replay_unbounded",
-]
+__all__ = ["REPLAY_MODES", "replay"]

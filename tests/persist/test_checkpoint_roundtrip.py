@@ -15,7 +15,7 @@ from repro.api import run_spec
 from repro.faults import get_campaign
 from repro.nand.reliability import AgingState
 from repro.persist import latest_checkpoint, list_checkpoints, read_header
-from repro.specs import RunOptions, SimulationSpec, WorkloadSpec
+from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 
 REQUESTS = 300
@@ -106,6 +106,30 @@ class TestResumeEquivalence:
             resume_from=checkpoint,
         )
         assert _key(resumed) == _key(straight)
+
+
+class TestSingleSegment:
+    @pytest.mark.parametrize("every", [400, 1000])
+    def test_matches_plain_run(self, tmp_path, every):
+        """With ``checkpoint_every >= n_requests`` the trace is one
+        segment and no barrier fires: segmenting is the only thing the
+        checkpointed path adds, so the result equals the plain run's."""
+        spec = SimulationSpec(
+            config=SSDConfig.small(),
+            workload=WorkloadSpec("OLTP", n_requests=400),
+            ftl="cube",
+            host=HostSpec(queue_depth=8),
+            warmup_requests=50,
+            prefill=0.5,
+        )
+        plain = run_spec(spec)
+        checkpointed = run_spec(
+            spec.with_options(
+                checkpoint_every=every, checkpoint_dir=str(tmp_path)
+            )
+        )
+        assert list_checkpoints(str(tmp_path)) == []
+        assert checkpointed.stats.to_dict() == plain.stats.to_dict()
 
 
 class TestGcAndFlushHeavyBarriers:

@@ -50,6 +50,15 @@ class TestReplayValidation:
         with pytest.raises(ValueError, match="warmup"):
             replay(sim, trace, mode="ncq", warmup_requests=5)
 
+    def test_segmenting_needs_closed_loop(self):
+        config = SSDConfig.small()
+        sim = SSDSimulation(config, ftl="page")
+        trace = _stamped(config, 5, rate_iops=1000)
+        with pytest.raises(ValueError, match="segment_requests"):
+            replay(sim, trace, mode="ncq", segment_requests=2)
+        with pytest.raises(ValueError, match="segment_requests"):
+            replay(sim, trace, segment_requests=0)
+
     def test_oversized_trace_rejected(self):
         config = SSDConfig.small()
         sim = SSDSimulation(config, ftl="page")
@@ -100,7 +109,7 @@ class TestNCQ:
     def test_huge_depth_matches_unbounded(self):
         """With queue depth >= trace length no arrival ever waits, so
         NCQ reduces exactly to the unbounded open loop (latency is
-        measured from arrival in both)."""
+        measured from arrival in both): the two runs are identical."""
         config = SSDConfig.small()
         sim_ncq = SSDSimulation(config, ftl="page")
         trace = _stamped(config, 60, rate_iops=20_000, seed=5)
@@ -108,13 +117,7 @@ class TestNCQ:
         sim_open = SSDSimulation(config, ftl="page")
         trace = _stamped(config, 60, rate_iops=20_000, seed=5)
         unbounded = replay(sim_open, trace, mode="unbounded")
-        assert ncq.completed_requests == unbounded.completed_requests
-        assert ncq.write_latency.mean_us == pytest.approx(
-            unbounded.write_latency.mean_us
-        )
-        assert ncq.write_latency.percentile(99) == pytest.approx(
-            unbounded.write_latency.percentile(99)
-        )
+        assert ncq.to_dict() == unbounded.to_dict()
 
     def test_warmup_excludes_early_completions(self):
         config = SSDConfig.small()
@@ -148,8 +151,22 @@ class TestClosedDelegation:
         stats = sim.run(trace, queue_depth=4)
         assert stats.completed_requests == 40
 
-    def test_run_open_loop_still_unbounded(self):
+
+class TestUnbounded:
+    def test_warmup_excludes_early_completions(self):
+        """Unbounded mode honours the warm-up window like the other two."""
         config = SSDConfig.small()
         sim = SSDSimulation(config, ftl="page")
-        stats = sim.run_open_loop(_stamped(config, 30, rate_iops=10_000))
-        assert stats.completed_requests == 30
+        trace = _stamped(config, 100, rate_iops=50_000)
+        stats = replay(sim, trace, mode="unbounded", warmup_requests=40)
+        assert stats.completed_requests == 60
+        assert (
+            len(stats.read_latency) + len(stats.write_latency) == 60
+        )
+
+    def test_warmup_must_leave_measured_requests(self):
+        config = SSDConfig.small()
+        sim = SSDSimulation(config, ftl="page")
+        trace = _stamped(config, 100, rate_iops=50_000)
+        with pytest.raises(ValueError, match="warmup"):
+            replay(sim, trace, mode="unbounded", warmup_requests=100)
