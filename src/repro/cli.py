@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Three subcommands cover the common flows::
+Ten subcommands cover the common flows::
 
     repro-ssd characterize --chips 4 --blocks 8
         run the Section 3 study and print Delta-H / Delta-V summaries
@@ -9,8 +9,8 @@ Three subcommands cover the common flows::
         replay one workload against one FTL and print the stats
 
     repro-ssd compare --workload Proxy --pe 2000 --retention 12
-        replay one workload against pageFTL / vertFTL / cubeFTL and print
-        the normalized comparison (one Fig. 17 slice)
+        replay one workload against pageFTL / vertFTL / cubeFTL / DFTL and
+        print the normalized comparison (one Fig. 17 slice)
 
     repro-ssd sweep --ftls page,cube --workloads OLTP,Proxy \\
             --aging 0:0 2000:12 --jobs 4
@@ -31,6 +31,10 @@ Three subcommands cover the common flows::
         score a workload or recorded trace against the unwritten flash
         contract (alignment, sequentiality, locality, death-time grouping)
 
+    repro-ssd spor --ftl cube --workload OLTP --spor-at 20000
+        cut power mid-run, recover the FTL from per-page OOB metadata,
+        and verify the recovered device against the shadow-store oracle
+
     repro-ssd report runs/<run_id>
         render the ASCII dashboard of a run artifact written with
         --artifacts (latency CDF, telemetry sparklines, tail exemplars)
@@ -39,26 +43,40 @@ Three subcommands cover the common flows::
         compare two run artifacts metric by metric with tolerance
         verdicts (exit 1 on regression, 2 on schema mismatch)
 
-``simulate`` and ``compare`` accept ``--check[=strict]`` to attach the
-runtime invariant checker to normal runs.  ``simulate``, ``sweep``, and
-``tenants`` accept ``--spec FILE`` with a JSON/TOML
-:class:`~repro.specs.SimulationSpec`; everywhere a workload name is
-accepted, a ``trace:<path>`` reference replays a recorded block trace.
+Every flag is declared once, in :data:`_FLAGS`; each subcommand lists
+the flags it takes with its own defaults in :data:`_COMMANDS`.  Every
+run-taking subcommand turns its flags into one
+:class:`~repro.specs.SimulationSpec` through :func:`_spec_from_args`.
+``simulate``, ``sweep`` and ``tenants`` accept ``--spec FILE`` with a
+JSON/TOML spec in place of the run flags; the run-option flags
+(``--trace``, ``--metrics-interval``, ``--telemetry``, ``--profile``,
+``--check``, ``--checkpoint``/``--checkpoint-every``, ``--resume``,
+``--artifacts``, ``--artifact-every``) apply on top of either form.
+Everywhere a workload name is accepted, a ``trace:<path>`` reference
+replays a recorded block trace.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import sys
 from typing import List, Optional
 
 from repro.analysis.tables import format_table
 from repro.api import run_spec
 from repro.faults import CAMPAIGNS, get_campaign
-from repro.nand.geometry import BlockGeometry, SSDGeometry
+from repro.ftl import FTL_NAMES
 from repro.nand.reliability import AgingState
 from repro.obs.log import LEVELS, configure_logging, get_logger, log_event
-from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
+from repro.specs import (
+    HostSpec,
+    SimulationSpec,
+    TenantSpec,
+    WorkloadSpec,
+    load_spec_file,
+)
 from repro.ssd.config import SSDConfig
 from repro.workloads import WORKLOAD_GENERATORS, is_trace_path
 
@@ -77,205 +95,324 @@ def _workload_arg(value: str) -> str:
     )
 
 
+#: every optional flag: its argparse keywords except ``default``, which
+#: each subcommand sets in ``_COMMANDS``.  Help text is %-formatted by
+#: argparse, so a literal percent sign must be written ``%%``.
+_FLAGS = {
+    "--log-level": dict(
+        choices=LEVELS,
+        help="threshold for structured 'REPRO key=value' diagnostics on "
+        "stderr (default: %(default)s)",
+    ),
+    # -- the run --------------------------------------------------------
+    "--spec": dict(
+        metavar="FILE",
+        help="take the run from a SimulationSpec JSON/TOML file (see "
+        "docs/WORKLOADS.md) in place of the run flags; the run-option "
+        "flags (--trace, --metrics-interval, --telemetry, --profile, "
+        "--check, --checkpoint, --resume, --artifacts, --artifact-every) "
+        "still apply on top of it",
+    ),
+    "--workload": dict(
+        type=_workload_arg,
+        metavar="NAME",
+        help="workload name "
+        f"({', '.join(sorted(WORKLOAD_GENERATORS))}) or a "
+        "trace:<path> reference to a recorded block trace "
+        "(default: %(default)s)",
+    ),
+    "--ftl": dict(choices=FTL_NAMES, help="FTL variant (default: %(default)s)"),
+    "--cmt-capacity": dict(
+        type=int,
+        metavar="ENTRIES",
+        help="dftl only: cached-mapping-table capacity in L2P entries "
+        "(default: the FTL's built-in 64)",
+    ),
+    "--pe": dict(type=int, help="pre-cycled P/E count"),
+    "--retention": dict(type=float, help="retention months"),
+    "--requests": dict(
+        type=int, help="host requests in the stream (default: %(default)s)"
+    ),
+    "--warmup": dict(
+        type=int,
+        help="leading requests left out of the statistics "
+        "(default: %(default)s)",
+    ),
+    "--queue-depth": dict(
+        type=int, help="host queue depth (default: %(default)s)"
+    ),
+    "--blocks-per-chip": dict(
+        type=int,
+        help="blocks per chip of the 2-channel x 4-chip device "
+        "(default: %(default)s)",
+    ),
+    "--prefill": dict(
+        type=float,
+        help="fraction of the logical space written before the run "
+        "(default: %(default)s)",
+    ),
+    "--seed": dict(
+        type=int,
+        help="run seed; sweep runs each cell with derive_seed(seed, "
+        "cell_name), and fuzz reproduces a failing report from it "
+        "(default: %(default)s)",
+    ),
+    "--faults": dict(
+        choices=sorted(CAMPAIGNS),
+        help="fault-injection campaign (default: %(default)s)",
+    ),
+    # -- run options ----------------------------------------------------
+    "--check": dict(
+        nargs="?",
+        const="on",
+        choices=["on", "strict"],
+        help="attach the runtime invariant checker (bare --check: "
+        "per-event invariants + data-integrity oracle + one deep "
+        "audit at the end; --check=strict: also deep-audit after "
+        "every erase and periodically); any violation aborts with "
+        "the offending LPN/PPN/block and timestamp",
+    ),
+    "--trace": dict(
+        metavar="PATH",
+        help="stream a request-lifecycle span trace (JSONL) to PATH and "
+        "print the per-stage latency breakdown",
+    ),
+    "--metrics-interval": dict(
+        metavar="US",
+        type=float,
+        help="sample time-sliced metrics every US simulated microseconds "
+        "and print the timeline",
+    ),
+    "--telemetry": dict(
+        action="store_true",
+        help="record device telemetry (per-die busy time, queue depths, "
+        "per-h-layer retries / tPROG, ORT hits); simulate prints the "
+        "heatmaps, and --json output embeds the snapshot",
+    ),
+    "--profile": dict(
+        action="store_true",
+        help="attribute host wall-clock time to subsystems (FTL, NAND "
+        "model, event queue, tracing) and print the table",
+    ),
+    "--checkpoint": dict(
+        metavar="DIR",
+        help="write a resumable checkpoint into DIR every "
+        "--checkpoint-every completed requests (see docs/PERSISTENCE.md)",
+    ),
+    "--checkpoint-every": dict(
+        metavar="N",
+        type=int,
+        help="checkpoint cadence in completed host requests "
+        "(default: %(default)s; only with --checkpoint)",
+    ),
+    "--resume": dict(
+        metavar="CKPT",
+        help="resume from a checkpoint directory (ckpt_NNNNNNNN); the "
+        "continued run is byte-identical to the uninterrupted one",
+    ),
+    "--artifacts": dict(
+        metavar="DIR",
+        help="write a self-contained run artifact (spec, result, latency "
+        "grids, telemetry time-series, tail exemplars, typed manifest) "
+        "per run under DIR, plus a sweep.json index for sweep; inspect "
+        "them with 'repro-ssd report' and 'repro-ssd diff'",
+    ),
+    "--artifact-every": dict(
+        metavar="US",
+        type=float,
+        help="telemetry time-series window in simulated microseconds "
+        "for the artifact (default: 1000)",
+    ),
+    # -- command-specific -----------------------------------------------
+    "--json": dict(
+        metavar="PATH", help="also write the command's results as JSON to PATH"
+    ),
+    "--chips": dict(type=int),
+    "--blocks": dict(type=int),
+    "--report": dict(
+        metavar="PATH",
+        help="write a full markdown characterization report to PATH",
+    ),
+    "--ops": dict(
+        type=int,
+        help="host requests in the generated trace (default: %(default)s)",
+    ),
+    "--ftls": dict(
+        help="comma-separated FTL variants, any of "
+        f"{'/'.join(FTL_NAMES)} (default: %(default)s)",
+    ),
+    "--workloads": dict(
+        help="comma-separated workload names (default: %(default)s)"
+    ),
+    "--aging": dict(
+        nargs="+",
+        metavar="PE:MONTHS",
+        help="aging states as PE:MONTHS pairs, e.g. --aging 0:0 2000:12 "
+        "(default: fresh only)",
+    ),
+    "--jobs": dict(
+        type=int,
+        help="worker processes to shard the runs across; results are "
+        "identical for any value (default: %(default)s)",
+    ),
+    "--checkpoint-dir": dict(
+        metavar="DIR",
+        help="save per-cell results into DIR as they complete; an "
+        "interrupted sweep rerun with the same DIR (and the same cells "
+        "and seed) reruns only the unfinished cells",
+    ),
+    "--retries": dict(
+        type=int,
+        metavar="N",
+        help="relaunch a cell whose worker hard-died (segfault, OOM "
+        "kill) up to N times with the same derived seed "
+        "(default: %(default)s)",
+    ),
+    "--requests-per-tenant": dict(
+        type=int,
+        help="requests per tenant stream in the built-in scenario "
+        "(default: %(default)s)",
+    ),
+    "--rate": dict(
+        type=float,
+        help="per-tenant arrival rate in IOPS for the built-in "
+        "scenario (default: %(default)s)",
+    ),
+    "--spor-at": dict(
+        metavar="US",
+        type=float,
+        help="simulated microsecond of the power cut (default: the "
+        "'spor' campaign's instant)",
+    ),
+    "--html": dict(
+        metavar="PATH",
+        help="also write the dashboard as a single self-contained HTML "
+        "page to PATH",
+    ),
+    "--tolerance": dict(
+        type=float,
+        help="relative change beyond which a worse gated metric is a "
+        "regression (default: %(default)s)",
+    ),
+}
+
+#: the run flags of the single-run commands (simulate, compare, spor)
+_RUN_FLAGS = {
+    "--workload": "OLTP",
+    "--pe": 0,
+    "--retention": 0.0,
+    "--requests": 8000,
+    "--warmup": 2500,
+    "--queue-depth": 32,
+    "--blocks-per-chip": 48,
+    "--prefill": 0.9,
+    "--seed": 7,
+    "--faults": "none",
+    "--check": None,
+}
+
+#: subcommand -> (help, {flag: default})
+_COMMANDS = {
+    "characterize": (
+        "run the Section 3 process-characterization study",
+        {"--chips": 4, "--blocks": 8, "--report": None},
+    ),
+    "simulate": (
+        "replay a workload on one FTL",
+        {
+            "--ftl": "cube", "--cmt-capacity": None, "--spec": None,
+            "--json": None, "--trace": None, "--metrics-interval": None,
+            "--telemetry": False, "--profile": False, "--checkpoint": None,
+            "--checkpoint-every": 1000, "--resume": None,
+            "--artifacts": None, "--artifact-every": None, **_RUN_FLAGS,
+        },
+    ),
+    "compare": (
+        "replay a workload on pageFTL, vertFTL, cubeFTL and DFTL",
+        _RUN_FLAGS,
+    ),
+    "fuzz": (
+        "differential fuzz: replay one seeded random workload through "
+        "several FTLs under the invariant checker and diff the final "
+        "logical state",
+        {
+            "--seed": 7, "--ops": 400, "--ftls": "page,vert,cube,oracle,dftl",
+            "--faults": "none", "--queue-depth": 8, "--prefill": 0.4,
+        },
+    ),
+    "sweep": (
+        "run an FTL x workload x aging (x faults) cross product across "
+        "worker processes",
+        {
+            "--spec": None, "--ftls": "page,vert,cube", "--workloads": "OLTP",
+            "--aging": ["0:0"], "--jobs": 1, "--requests": 2000,
+            "--warmup": 500, "--queue-depth": 32, "--blocks-per-chip": 16,
+            "--prefill": 0.5, "--seed": 7, "--telemetry": False,
+            "--json": None, "--checkpoint-dir": None, "--retries": 0,
+            "--artifacts": None,
+        },
+    ),
+    "tenants": (
+        "run a multi-tenant scenario (shared device + per-tenant solo "
+        "baselines) and print the interference matrix",
+        {
+            "--spec": None, "--requests-per-tenant": 2000, "--rate": 20000.0,
+            "--ftl": "cube", "--queue-depth": 32, "--blocks-per-chip": 48,
+            "--prefill": 0.9, "--seed": 7, "--jobs": 1, "--json": None,
+            "--artifacts": None,
+        },
+    ),
+    "report": (
+        "render the ASCII dashboard of one run-artifact directory "
+        "(latency CDF, telemetry sparklines, slowest-span exemplars, "
+        "telemetry deltas)",
+        {"--html": None},
+    ),
+    "diff": (
+        "compare two run artifacts metric by metric with tolerance "
+        "verdicts (exit 0 clean, 1 regression, 2 schema mismatch)",
+        {"--tolerance": 0.10},
+    ),
+    "contract": (
+        "score a workload or trace against the unwritten flash contract "
+        "(alignment, sequentiality, locality, death-time grouping)",
+        {"--workload": "OLTP", "--requests": 8000, "--blocks-per-chip": 48,
+         "--seed": 7, "--json": None},
+    ),
+    "spor": (
+        "sudden-power-off drill: run a workload, cut power mid-run, "
+        "recover the FTL from per-page OOB metadata, and verify the "
+        "recovered device against the shadow-store oracle",
+        {"--ftl": "cube", "--spor-at": None, "--json": None, **_RUN_FLAGS},
+    ),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    for flag, default in defaults.items():
+        parser.add_argument(flag, default=default, **_FLAGS[flag])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-ssd",
         description="cubeFTL reproduction: characterization and SSD simulation",
     )
-    parser.add_argument(
-        "--log-level",
-        choices=LEVELS,
-        default="warning",
-        dest="log_level",
-        help="threshold for structured 'REPRO key=value' diagnostics on "
-        "stderr (default: warning)",
-    )
+    _add_flags(parser, {"--log-level": "warning"})
     sub = parser.add_subparsers(dest="command", required=True)
-
-    characterize = sub.add_parser(
-        "characterize", help="run the Section 3 process-characterization study"
+    commands = {}
+    for name, (text, defaults) in _COMMANDS.items():
+        commands[name] = sub.add_parser(name, help=text)
+        _add_flags(commands[name], defaults)
+    # the two flags whose meaning differs from the shared declaration
+    commands["sweep"].add_argument(
+        "--faults",
+        nargs="+",
+        choices=sorted(CAMPAIGNS),
+        default=["none"],
+        help="fault campaigns to sweep over (default: none)",
     )
-    characterize.add_argument("--chips", type=int, default=4)
-    characterize.add_argument("--blocks", type=int, default=8)
-    characterize.add_argument(
-        "--report",
-        metavar="PATH",
-        default=None,
-        help="write a full markdown characterization report to PATH",
-    )
-
-    def add_sim_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--workload",
-            type=_workload_arg,
-            default="OLTP",
-            metavar="NAME",
-            help="workload name "
-            f"({', '.join(sorted(WORKLOAD_GENERATORS))}) or a "
-            "trace:<path> reference to a recorded block trace "
-            "(default: OLTP)",
-        )
-        p.add_argument("--pe", type=int, default=0, help="pre-cycled P/E count")
-        p.add_argument(
-            "--retention", type=float, default=0.0, help="retention months"
-        )
-        p.add_argument("--requests", type=int, default=8000)
-        p.add_argument("--warmup", type=int, default=2500)
-        p.add_argument("--queue-depth", type=int, default=32)
-        p.add_argument("--blocks-per-chip", type=int, default=48)
-        p.add_argument("--prefill", type=float, default=0.9)
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument(
-            "--faults",
-            choices=sorted(CAMPAIGNS),
-            default="none",
-            help="fault-injection campaign (default: none)",
-        )
-        p.add_argument(
-            "--check",
-            nargs="?",
-            const="on",
-            choices=["on", "strict"],
-            default=None,
-            help="attach the runtime invariant checker (bare --check: "
-            "per-event invariants + data-integrity oracle + one deep "
-            "audit at the end; --check=strict: also deep-audit after "
-            "every erase and periodically); any violation aborts with "
-            "the offending LPN/PPN/block and timestamp",
-        )
-
-    simulate = sub.add_parser("simulate", help="replay a workload on one FTL")
-    simulate.add_argument(
-        "--ftl",
-        choices=["page", "vert", "cube", "cube-", "oracle", "dftl"],
-        default="cube",
-    )
-    simulate.add_argument(
-        "--cmt-capacity",
-        type=int,
-        default=None,
-        dest="cmt_capacity",
-        metavar="ENTRIES",
-        help="dftl only: cached-mapping-table capacity in L2P entries "
-        "(default: the FTL's built-in 64)",
-    )
-    simulate.add_argument(
-        "--spec",
-        metavar="FILE",
-        default=None,
-        help="run a SimulationSpec from a JSON/TOML file instead of the "
-        "flat flags (see docs/WORKLOADS.md); only --json / --log-level "
-        "compose with it",
-    )
-    simulate.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the full stats as JSON to PATH (result schema v2)",
-    )
-    simulate.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="stream a request-lifecycle span trace (JSONL) to PATH and "
-        "print the per-stage latency breakdown",
-    )
-    simulate.add_argument(
-        "--metrics-interval",
-        metavar="US",
-        type=float,
-        default=None,
-        dest="metrics_interval",
-        help="sample time-sliced metrics every US simulated microseconds "
-        "and print the timeline",
-    )
-    simulate.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="record device telemetry (per-die busy time, queue depths, "
-        "per-h-layer retries / tPROG, ORT hits) and print the heatmaps; "
-        "the snapshot is embedded in --json output when both are given",
-    )
-    simulate.add_argument(
-        "--profile",
-        action="store_true",
-        help="attribute host wall-clock time to subsystems (FTL, NAND "
-        "model, event queue, tracing) and print the table",
-    )
-    simulate.add_argument(
-        "--checkpoint",
-        metavar="DIR",
-        default=None,
-        help="write a resumable checkpoint into DIR every "
-        "--checkpoint-every completed requests (see docs/PERSISTENCE.md)",
-    )
-    simulate.add_argument(
-        "--checkpoint-every",
-        metavar="N",
-        type=int,
-        default=1000,
-        dest="checkpoint_every",
-        help="checkpoint cadence in completed host requests "
-        "(default: 1000; only with --checkpoint)",
-    )
-    simulate.add_argument(
-        "--resume",
-        metavar="CKPT",
-        default=None,
-        help="resume from a checkpoint directory (ckpt_NNNNNNNN); the "
-        "continued run is byte-identical to the uninterrupted one",
-    )
-    simulate.add_argument(
-        "--artifacts",
-        metavar="DIR",
-        default=None,
-        help="write a self-contained run artifact (spec, result, "
-        "latency grids, telemetry time-series, tail exemplars, typed "
-        "manifest) under DIR/<run_id>/; inspect it with "
-        "'repro-ssd report' and 'repro-ssd diff'",
-    )
-    simulate.add_argument(
-        "--artifact-every",
-        metavar="US",
-        type=float,
-        default=None,
-        dest="artifact_every",
-        help="telemetry time-series window in simulated microseconds "
-        "for the artifact (default: 1000)",
-    )
-    add_sim_args(simulate)
-
-    compare = sub.add_parser(
-        "compare", help="replay a workload on the three FTLs of the paper"
-    )
-    add_sim_args(compare)
-
-    fuzz = sub.add_parser(
-        "fuzz",
-        help="differential fuzz: replay one seeded random workload "
-        "through several FTLs under the invariant checker and diff the "
-        "final logical state",
-    )
-    fuzz.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="trace + device seed; a failing report is replayed by "
-        "rerunning with the same seed (default: 7)",
-    )
-    fuzz.add_argument(
-        "--ops",
-        type=int,
-        default=400,
-        help="host requests in the generated trace (default: 400)",
-    )
-    fuzz.add_argument(
-        "--ftls",
-        default="page,vert,cube,oracle,dftl",
-        help="comma-separated FTL variants to diff "
-        "(default: page,vert,cube,oracle,dftl)",
-    )
-    fuzz.add_argument(
+    commands["fuzz"].add_argument(
         "--check",
         nargs="?",
         const="strict",
@@ -283,304 +420,86 @@ def _build_parser() -> argparse.ArgumentParser:
         default="strict",
         help="checker level (default: strict)",
     )
-    fuzz.add_argument(
-        "--faults",
-        choices=sorted(CAMPAIGNS),
-        default="none",
-        help="run the fuzz under a fault campaign (default: none)",
-    )
-    fuzz.add_argument("--queue-depth", type=int, default=8)
-    fuzz.add_argument("--prefill", type=float, default=0.4)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="run an FTL x workload x aging (x faults) cross product "
-        "across worker processes",
-    )
-    sweep.add_argument(
-        "--spec",
-        metavar="FILE",
-        default=None,
-        help="use a SimulationSpec file as the base cell; the sweep "
-        "crosses it with --ftls x --aging x --faults (its workload, "
-        "host model, and geometry replace the flat flags)",
-    )
-    sweep.add_argument(
-        "--ftls",
-        default="page,vert,cube",
-        help="comma-separated FTL variants, any of "
-        "page/vert/cube/cube-/oracle/dftl (default: page,vert,cube)",
-    )
-    sweep.add_argument(
-        "--workloads",
-        default="OLTP",
-        help="comma-separated workload names (default: OLTP)",
-    )
-    sweep.add_argument(
-        "--aging",
-        nargs="+",
-        default=["0:0"],
-        metavar="PE:MONTHS",
-        help="aging states as PE:MONTHS pairs, e.g. --aging 0:0 2000:12 "
-        "(default: fresh only)",
-    )
-    sweep.add_argument(
-        "--faults",
-        nargs="+",
-        choices=sorted(CAMPAIGNS),
-        default=["none"],
-        help="fault campaigns to sweep over (default: none)",
-    )
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes to shard the sweep across (default 1: "
-        "inline; results are identical for any value)",
-    )
-    sweep.add_argument("--requests", type=int, default=2000)
-    sweep.add_argument("--warmup", type=int, default=500)
-    sweep.add_argument("--queue-depth", type=int, default=32)
-    sweep.add_argument("--blocks-per-chip", type=int, default=16)
-    sweep.add_argument("--prefill", type=float, default=0.5)
-    sweep.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="base seed; each cell runs with derive_seed(seed, cell_name)",
-    )
-    sweep.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="record device telemetry per cell and include the merged "
-        "snapshot in --json output",
-    )
-    sweep.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write the full sweep results (per-cell schema-v2 stats, "
-        "derived seeds, errors) as JSON to PATH",
-    )
-    sweep.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        dest="checkpoint_dir",
-        help="save per-cell results into DIR as they complete; an "
-        "interrupted sweep rerun with the same DIR (and the same cells "
-        "and seed) reruns only the unfinished cells",
-    )
-    sweep.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="relaunch a cell whose worker hard-died (segfault, OOM "
-        "kill) up to N times with the same derived seed (default: 0)",
-    )
-    sweep.add_argument(
-        "--artifacts",
-        metavar="DIR",
-        default=None,
-        help="write one run artifact per cell under DIR plus a "
-        "sweep.json index; inspect cells with 'repro-ssd report' and "
-        "compare them with 'repro-ssd diff'",
-    )
-
-    tenants = sub.add_parser(
-        "tenants",
-        help="run a multi-tenant scenario (shared device + per-tenant "
-        "solo baselines) and print the interference matrix",
-    )
-    tenants.add_argument(
-        "--spec",
-        metavar="FILE",
-        default=None,
-        help="SimulationSpec file with host.tenants; without it, a "
-        "built-in 4-tenant mixed scenario (OLTP/Mail/Web/Proxy, one "
-        "LPN-space quarter each) runs",
-    )
-    tenants.add_argument(
-        "--requests-per-tenant",
-        type=int,
-        default=2000,
-        dest="requests_per_tenant",
-        help="requests per tenant stream in the built-in scenario "
-        "(default: 2000)",
-    )
-    tenants.add_argument(
-        "--rate",
-        type=float,
-        default=20000.0,
-        help="per-tenant arrival rate in IOPS for the built-in "
-        "scenario (default: 20000)",
-    )
-    tenants.add_argument(
-        "--ftl",
-        choices=["page", "vert", "cube", "cube-", "oracle", "dftl"],
-        default="cube",
-        help="FTL for the built-in scenario (a --spec file carries its "
-        "own ftl field)",
-    )
-    tenants.add_argument("--queue-depth", type=int, default=32)
-    tenants.add_argument("--blocks-per-chip", type=int, default=48)
-    tenants.add_argument("--prefill", type=float, default=0.9)
-    tenants.add_argument("--seed", type=int, default=7)
-    tenants.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the shared + solo runs (default 1; "
-        "results are identical for any value)",
-    )
-    tenants.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write the scenario result (per-tenant stats + "
-        "interference matrix) as JSON to PATH",
-    )
-    tenants.add_argument(
-        "--artifacts",
-        metavar="DIR",
-        default=None,
-        help="write one run artifact per scenario run (shared + each "
-        "solo baseline) under DIR",
-    )
-
-    report = sub.add_parser(
-        "report",
-        help="render the ASCII dashboard of one run-artifact directory "
-        "(latency CDF, telemetry sparklines, slowest-span exemplars, "
-        "telemetry deltas)",
-    )
-    report.add_argument(
+    commands["report"].add_argument(
         "run_dir",
         metavar="RUN_DIR",
         help="artifact directory written by --artifacts (runs/<run_id>)",
     )
-    report.add_argument(
-        "--html",
-        metavar="PATH",
-        default=None,
-        help="also write the dashboard as a single self-contained HTML "
-        "page to PATH",
+    commands["diff"].add_argument(
+        "run_a", metavar="RUN_A", help="baseline artifact directory"
     )
-
-    diff = sub.add_parser(
-        "diff",
-        help="compare two run artifacts metric by metric with tolerance "
-        "verdicts (exit 0 clean, 1 regression, 2 schema mismatch)",
+    commands["diff"].add_argument(
+        "run_b", metavar="RUN_B", help="candidate artifact directory"
     )
-    diff.add_argument("run_a", metavar="RUN_A", help="baseline artifact directory")
-    diff.add_argument("run_b", metavar="RUN_B", help="candidate artifact directory")
-    diff.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="relative change beyond which a worse gated metric is a "
-        "regression (default: 0.10)",
-    )
-
-    contract = sub.add_parser(
-        "contract",
-        help="score a workload or trace against the unwritten flash "
-        "contract (alignment, sequentiality, locality, death-time "
-        "grouping)",
-    )
-    contract.add_argument(
-        "--workload",
-        type=_workload_arg,
-        default="OLTP",
-        metavar="NAME",
-        help="workload name or trace:<path> reference (default: OLTP)",
-    )
-    contract.add_argument("--requests", type=int, default=8000)
-    contract.add_argument("--blocks-per-chip", type=int, default=48)
-    contract.add_argument("--seed", type=int, default=7)
-    contract.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write the contract scores as JSON to PATH",
-    )
-
-    spor = sub.add_parser(
-        "spor",
-        help="sudden-power-off drill: run a workload, cut power "
-        "mid-run, recover the FTL from per-page OOB metadata, and "
-        "verify the recovered device against the shadow-store oracle",
-    )
-    spor.add_argument(
-        "--ftl", choices=["page", "vert", "cube", "cube-", "oracle", "dftl"],
-        default="cube",
-    )
-    spor.add_argument(
-        "--spor-at",
-        metavar="US",
-        type=float,
-        default=None,
-        dest="spor_at",
-        help="simulated microsecond of the power cut (default: the "
-        "'spor' campaign's instant)",
-    )
-    spor.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write the SPOR report as JSON to PATH",
-    )
-    add_sim_args(spor)
     return parser
 
 
-def _config(args: argparse.Namespace) -> SSDConfig:
-    geometry = SSDGeometry(
-        n_channels=2,
-        chips_per_channel=4,
-        blocks_per_chip=args.blocks_per_chip,
-        block=BlockGeometry(),
-    )
-    return (
-        SSDConfig(geometry=geometry)
-        .with_aging(AgingState(args.pe, args.retention))
-        .with_faults(get_campaign(args.faults))
-    )
+#: run-option flag -> the RunOptions field it sets
+_OPTION_FLAGS = {
+    "trace": "trace",
+    "metrics_interval": "metrics_interval",
+    "telemetry": "telemetry",
+    "profile": "profile",
+    "check": "check",
+    "checkpoint": "checkpoint_dir",
+    "resume": "resume_from",
+    "artifacts": "artifact_dir",
+    "artifact_every": "artifact_every",
+}
 
 
-def _run(args: argparse.Namespace, ftl: str):
-    checkpoint_dir = getattr(args, "checkpoint", None)
-    ftl_kwargs = {}
-    cmt_capacity = getattr(args, "cmt_capacity", None)
-    if cmt_capacity is not None:
-        if ftl != "dftl":
-            raise SystemExit("--cmt-capacity only applies to --ftl dftl")
-        ftl_kwargs["cmt_capacity"] = cmt_capacity
-    spec = SimulationSpec(
-        config=_config(args),
-        workload=WorkloadSpec(args.workload, n_requests=args.requests),
-        ftl=ftl,
-        host=HostSpec(queue_depth=args.queue_depth),
-        options=RunOptions(
-            trace=getattr(args, "trace", None),
-            metrics_interval=getattr(args, "metrics_interval", None),
-            telemetry=getattr(args, "telemetry", False),
-            profile=getattr(args, "profile", False),
-            check=getattr(args, "check", None),
-            checkpoint_every=(
-                args.checkpoint_every if checkpoint_dir is not None else None
-            ),
-            checkpoint_dir=checkpoint_dir,
-            resume_from=getattr(args, "resume", None),
-            artifact_dir=getattr(args, "artifacts", None),
-            artifact_every=getattr(args, "artifact_every", None),
-        ),
-        warmup_requests=args.warmup,
-        prefill=args.prefill,
-        seed=args.seed,
-        ftl_kwargs=ftl_kwargs,
-    )
-    return run_spec(spec)
+def _spec_from_args(args: argparse.Namespace, **fields) -> SimulationSpec:
+    """The one run a subcommand's parsed flags describe.
+
+    ``--spec FILE`` is loaded as written.  Otherwise the run flags the
+    subcommand has build the spec, and ``fields`` supply the
+    :class:`SimulationSpec` fields it derives itself (sweep's workload,
+    tenants' host); a flag the subcommand lacks keeps the spec default.
+    Either way, every run-option flag the user gave overrides the
+    spec's :class:`~repro.specs.RunOptions` field (``--checkpoint-every``
+    only together with ``--checkpoint``).
+    """
+    flags = vars(args)
+
+    def given(**names) -> dict:
+        return {key: flags[flag] for key, flag in names.items() if flag in flags}
+
+    if flags.get("spec"):
+        spec = load_spec_file(args.spec)
+    else:
+        geometry = dataclasses.replace(
+            SSDConfig().geometry, blocks_per_chip=args.blocks_per_chip
+        )
+        faults = flags.get("faults", "none")
+        config = SSDConfig(
+            geometry=geometry,
+            aging=AgingState(**given(pe_cycles="pe", retention_months="retention")),
+            # sweep's --faults is a list of campaigns it crosses itself
+            faults=get_campaign(faults) if isinstance(faults, str) else None,
+        )
+        if "workload" in flags:
+            fields.setdefault(
+                "workload", WorkloadSpec(args.workload, n_requests=args.requests)
+            )
+        fields.setdefault("host", HostSpec(**given(queue_depth="queue_depth")))
+        if flags.get("cmt_capacity") is not None:
+            if args.ftl != "dftl":
+                raise SystemExit("--cmt-capacity only applies to --ftl dftl")
+            fields["ftl_kwargs"] = {"cmt_capacity": args.cmt_capacity}
+        spec = SimulationSpec(
+            config=config,
+            **given(ftl="ftl", warmup_requests="warmup", prefill="prefill",
+                    seed="seed"),
+            **fields,
+        )
+    options = {
+        field: flags[flag]
+        for flag, field in _OPTION_FLAGS.items()
+        if flags.get(flag) is not None and flags.get(flag) is not False
+    }
+    if "checkpoint_dir" in options:
+        options["checkpoint_every"] = args.checkpoint_every
+    return spec.with_options(**options)
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
@@ -617,18 +536,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.spec:
-        from repro.specs import load_spec_file
-
-        spec = load_spec_file(args.spec)
-        if args.artifacts:
-            spec = spec.with_options(
-                artifact_dir=args.artifacts,
-                artifact_every=args.artifact_every,
-            )
-        result = run_spec(spec)
-    else:
-        result = _run(args, args.ftl)
+    result = run_spec(_spec_from_args(args))
     stats = result.stats
     print(stats.summary())
     if stats.tenants:
@@ -711,10 +619,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    spec = _spec_from_args(args)
     rows = []
     base = None
     for ftl in ("page", "vert", "cube", "dftl"):
-        stats = _run(args, ftl).stats
+        stats = run_spec(dataclasses.replace(spec, ftl=ftl)).stats
         if base is None:
             base = stats.iops
         rows.append(
@@ -774,7 +683,6 @@ def _sweep_specs(args: argparse.Namespace):
     from repro.parallel import RunSpec
 
     ftls = [f for f in args.ftls.split(",") if f]
-    workloads = [w for w in args.workloads.split(",") if w]
     agings = []
     for pair in args.aging:
         try:
@@ -784,66 +692,29 @@ def _sweep_specs(args: argparse.Namespace):
             raise SystemExit(
                 f"bad --aging value {pair!r} (expected PE:MONTHS, e.g. 2000:12)"
             )
-    if getattr(args, "spec", None):
-        import dataclasses
-
-        from repro.specs import load_spec_file
-
-        base_spec = load_spec_file(args.spec)
-        options = base_spec.options
-        if args.telemetry:
-            options = dataclasses.replace(options, telemetry=True)
-        if args.artifacts is not None:
-            options = dataclasses.replace(options, artifact_dir=args.artifacts)
-        specs = []
-        for ftl in ftls:
-            for aging in agings:
-                for fault in args.faults:
-                    name = (
-                        f"{ftl}-{base_spec.workload_name}"
-                        f"-pe{aging.pe_cycles}-ret{aging.retention_months:g}"
-                    )
-                    if fault != "none":
-                        name += f"-{fault}"
-                    cell = dataclasses.replace(
-                        base_spec,
-                        ftl=ftl,
-                        config=base_spec.config.with_aging(aging).with_faults(
-                            get_campaign(fault)
-                        ),
-                        options=options,
-                    )
-                    specs.append(RunSpec(name=name, spec=cell))
-        return specs
-    geometry = SSDGeometry(
-        n_channels=2,
-        chips_per_channel=4,
-        blocks_per_chip=args.blocks_per_chip,
-        block=BlockGeometry(),
-    )
-    base_config = SSDConfig(geometry=geometry)
-    options = RunOptions(telemetry=args.telemetry, artifact_dir=args.artifacts)
+    # a spec file brings its own stream; otherwise each --workloads name is one
+    streams = [None] if args.spec else [
+        WorkloadSpec(name, n_requests=args.requests)
+        for name in args.workloads.split(",")
+        if name
+    ]
+    bases = [_spec_from_args(args, workload=stream) for stream in streams]
     specs = []
-    for ftl in ftls:
-        for workload in workloads:
-            for aging in agings:
-                for fault in args.faults:
-                    name = f"{ftl}-{workload}-pe{aging.pe_cycles}-ret{aging.retention_months:g}"
-                    if fault != "none":
-                        name += f"-{fault}"
-                    config = base_config.with_aging(aging).with_faults(
-                        get_campaign(fault)
-                    )
-                    cell = SimulationSpec(
-                        config=config,
-                        workload=WorkloadSpec(workload, n_requests=args.requests),
-                        ftl=ftl,
-                        host=HostSpec(queue_depth=args.queue_depth),
-                        options=options,
-                        warmup_requests=args.warmup,
-                        prefill=args.prefill,
-                    )
-                    specs.append(RunSpec(name=name, spec=cell))
+    for ftl, base, aging, fault in itertools.product(
+        ftls, bases, agings, args.faults
+    ):
+        name = (
+            f"{ftl}-{base.workload_name}"
+            f"-pe{aging.pe_cycles}-ret{aging.retention_months:g}"
+        )
+        if fault != "none":
+            name += f"-{fault}"
+        cell = dataclasses.replace(
+            base,
+            ftl=ftl,
+            config=base.config.with_aging(aging).with_faults(get_campaign(fault)),
+        )
+        specs.append(RunSpec(name=name, spec=cell))
     return specs
 
 
@@ -1033,14 +904,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_tenant_spec(args: argparse.Namespace):
+def _builtin_tenants(args: argparse.Namespace):
     """The built-in 4-tenant mixed scenario: OLTP, Mail, Web, and Proxy
     streams at the same arrival rate, each confined to one quarter of the
     logical space."""
-    from repro.specs import HostSpec, SimulationSpec, TenantSpec, WorkloadSpec
-
     names = ("OLTP", "Mail", "Web", "Proxy")
-    tenants = tuple(
+    return tuple(
         TenantSpec(
             name=name.lower(),
             workload=WorkloadSpec(name, n_requests=args.requests_per_tenant),
@@ -1049,36 +918,20 @@ def _default_tenant_spec(args: argparse.Namespace):
         )
         for index, name in enumerate(names)
     )
-    geometry = SSDGeometry(
-        n_channels=2,
-        chips_per_channel=4,
-        blocks_per_chip=args.blocks_per_chip,
-        block=BlockGeometry(),
-    )
-    return SimulationSpec(
-        config=SSDConfig(geometry=geometry),
-        ftl=getattr(args, "ftl", "cube"),
-        host=HostSpec(queue_depth=args.queue_depth, tenants=tenants),
-        prefill=args.prefill,
-        seed=args.seed,
-    )
 
 
 def _cmd_tenants(args: argparse.Namespace) -> int:
     from repro.api import run_tenant_scenario
-    from repro.specs import load_spec_file
 
-    if args.spec:
-        spec = load_spec_file(args.spec)
-        if not spec.host.tenants:
-            raise SystemExit(
-                f"spec {args.spec} has no host.tenants; the tenants "
-                "command needs a multi-tenant spec"
-            )
-    else:
-        spec = _default_tenant_spec(args)
-    if args.artifacts:
-        spec = spec.with_options(artifact_dir=args.artifacts)
+    builtin = HostSpec(
+        queue_depth=args.queue_depth, tenants=_builtin_tenants(args)
+    )
+    spec = _spec_from_args(args, host=builtin)
+    if not spec.host.tenants:
+        raise SystemExit(
+            f"spec {args.spec} has no host.tenants; the tenants "
+            "command needs a multi-tenant spec"
+        )
     print(
         f"scenario: {', '.join(t.name for t in spec.host.tenants)} "
         f"(ftl={spec.ftl}, queue depth {spec.host.queue_depth}, "
@@ -1165,18 +1018,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_contract(args: argparse.Namespace) -> int:
     from repro.obs.contract import analyze_contract, contract_report
-    from repro.specs import WorkloadSpec
 
-    geometry = SSDGeometry(
-        n_channels=2,
-        chips_per_channel=4,
-        blocks_per_chip=args.blocks_per_chip,
-        block=BlockGeometry(),
-    )
-    config = SSDConfig(geometry=geometry)
-    trace = WorkloadSpec(
-        args.workload, n_requests=args.requests, seed=args.seed
-    ).build(config)
+    trace = _spec_from_args(args).build_trace()
     scores = analyze_contract(trace)
     print(contract_report(scores))
     if args.json:
@@ -1189,8 +1032,6 @@ def _cmd_contract(args: argparse.Namespace) -> int:
 
 
 def _cmd_spor(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.persist import run_spor_campaign
 
     campaign = get_campaign("spor" if args.faults == "none" else args.faults)
@@ -1202,17 +1043,9 @@ def _cmd_spor(args: argparse.Namespace) -> int:
             f"campaign {campaign.name!r} has no SPOR instant; pass --spor-at"
         )
     campaign = dataclasses.replace(campaign, spor_at_us=spor_at)
-    config = _config(args)
-    config = config.with_faults(campaign)
+    spec = _spec_from_args(args)
     report = run_spor_campaign(
-        config,
-        args.workload,
-        ftl=args.ftl,
-        queue_depth=args.queue_depth,
-        prefill=args.prefill,
-        n_requests=args.requests,
-        seed=args.seed,
-        check=args.check or "on",
+        dataclasses.replace(spec, config=spec.config.with_faults(campaign))
     )
     print(
         f"SPOR at {report.spor_at_us:.0f} us: "

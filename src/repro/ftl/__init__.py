@@ -30,9 +30,15 @@ _FTL_REGISTRY = {
     "dftl": DFTL,
 }
 
+#: the FTL names ``make_ftl`` (and the CLI's ``--ftl``) accept
+FTL_NAMES = ("page", "vert", "cube", "cube-", "oracle", "dftl")
+
 
 def make_ftl(name, config, controller, **kwargs):
-    """Instantiate an FTL by name ("page", "vert", "cube", "cube-").
+    """Instantiate an FTL by name: one of :data:`FTL_NAMES` ("page",
+    "vert", "cube", "cube-", "oracle", "dftl"), case-insensitive, or
+    the long forms "pageftl", "vertftl", "cubeftl", "cubeftl-" and
+    "oracleftl".
 
     ``"cube-"`` yields cubeFTL with the WAM disabled (horizontal-first
     allocation), the paper's cubeFTL- configuration.
@@ -60,5 +66,6 @@ __all__ = [
     "CubeFTL",
     "OracleFTL",
     "DFTL",
+    "FTL_NAMES",
     "make_ftl",
 ]

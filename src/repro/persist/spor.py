@@ -31,11 +31,10 @@ returns a stale or lost copy raises immediately; a final deep audit
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
-from repro.ssd.config import SSDConfig
+from repro.specs import SimulationSpec
 from repro.ssd.controller import SSDSimulation
-from repro.workloads import build_workload
 from repro.workloads.base import Trace
 
 
@@ -80,20 +79,17 @@ class SporReport:
         }
 
 
-def run_spor_campaign(
-    config: SSDConfig,
-    workload: Union[str, Trace],
-    ftl: str = "cube",
-    *,
-    queue_depth: int = 32,
-    prefill: float = 0.9,
-    n_requests: int = 4000,
-    seed: int = 7,
-    check="on",
-    **ftl_kwargs,
-) -> SporReport:
-    """Run a workload, cut power at ``config.faults.spor_at_us``,
+def run_spor_campaign(spec: SimulationSpec) -> SporReport:
+    """Run ``spec``, cut power at ``spec.config.faults.spor_at_us``,
     recover, and verify the recovered device end-to-end.
+
+    The spec's config, stream, ``ftl``, ``ftl_kwargs``, host queue
+    depth, ``prefill`` and ``seed`` describe the run, and
+    ``options.check`` is the checker level (``None`` means ``"on"``).
+    The run has no warm-up and records no latency statistics, so
+    ``warmup_requests`` and the other run options are not read.
+    Replay is closed-loop in both phases, so an open-loop host is
+    rejected.
 
     ``store_oob`` and ``store_tags`` are forced on (recovery needs the
     OOB records, the oracle needs the tags), so page data carries
@@ -102,36 +98,36 @@ def run_spor_campaign(
     """
     from repro.check import InvariantChecker, parse_check_level
 
-    campaign = config.faults
+    campaign = spec.config.faults
     if campaign is None or campaign.spor_at_us is None:
         raise ValueError(
             "run_spor_campaign needs a fault campaign with spor_at_us set "
             "(e.g. get_campaign('spor'))"
         )
-    spor_at_us = float(campaign.spor_at_us)
-    check_config = parse_check_level(check or "on")
-    sim_config = replace(config, store_oob=True, store_tags=True)
-    if isinstance(workload, str):
-        trace = build_workload(
-            workload, sim_config.logical_pages, n_requests, seed=seed
+    if spec.host.is_open_loop:
+        raise ValueError(
+            "run_spor_campaign replays closed-loop; an open-loop host "
+            f"(mode {spec.host.mode!r}) is not supported"
         )
-    else:
-        trace = workload
+    spor_at_us = float(campaign.spor_at_us)
+    check_config = parse_check_level(spec.options.check or "on")
+    sim_config = replace(spec.config, store_oob=True, store_tags=True)
+    trace = spec.build_trace()
 
     # -- phase 1: run to the cut ---------------------------------------
     checker1 = InvariantChecker(check_config)
     checker1.context.update(
-        ftl=ftl, workload=trace.name, seed=seed, phase="pre-spor"
+        ftl=spec.ftl, workload=trace.name, seed=spec.seed, phase="pre-spor"
     )
     sim1 = SSDSimulation(
-        sim_config, ftl=ftl, checker=checker1, **ftl_kwargs
+        sim_config, ftl=spec.ftl, checker=checker1, **spec.ftl_kwargs
     )
-    if prefill > 0:
-        sim1.prefill(prefill)
+    if spec.prefill > 0:
+        sim1.prefill(spec.prefill)
     engine = sim1.controller.engine
     requests = list(trace.requests)
     progress = {"issued": 0, "completed": 0}
-    inflight = {}  # id(spec) -> (issue order, request)
+    inflight = {}  # id(request) -> (issue order, request)
 
     def on_complete(active, now_us: float) -> None:
         inflight.pop(id(active.spec), None)
@@ -146,7 +142,7 @@ def run_spor_campaign(
         progress["issued"] += 1
         sim1.ftl.submit(request, on_complete)
 
-    for _ in range(queue_depth):
+    for _ in range(spec.host.queue_depth):
         issue_next()
     engine.run(until=spor_at_us)
 
@@ -161,10 +157,10 @@ def run_spor_campaign(
     # -- phase 2: fresh controller, recover, replay, continue ----------
     checker2 = InvariantChecker(check_config)
     checker2.context.update(
-        ftl=ftl, workload=trace.name, seed=seed, phase="post-spor"
+        ftl=spec.ftl, workload=trace.name, seed=spec.seed, phase="post-spor"
     )
     sim2 = SSDSimulation(
-        sim_config, ftl=ftl, checker=checker2, **ftl_kwargs
+        sim_config, ftl=spec.ftl, checker=checker2, **spec.ftl_kwargs
     )
     # no prefill: the media state below IS the device content
     for chip, chip_state in zip(sim2.controller.chips, media):
@@ -180,14 +176,14 @@ def run_spor_campaign(
             logical_pages=trace.logical_pages,
             requests=lost_writes,
         )
-        sim2.run(replay, queue_depth=queue_depth)
+        sim2.run(replay, queue_depth=spec.host.queue_depth)
     if remaining:
         rest = Trace(
             name=trace.name,
             logical_pages=trace.logical_pages,
             requests=remaining,
         )
-        sim2.run(rest, queue_depth=queue_depth)
+        sim2.run(rest, queue_depth=spec.host.queue_depth)
 
     audit = sim2.ftl.mapper.audit()
     report = checker2.finalize()

@@ -9,6 +9,7 @@ import pytest
 from repro.faults import get_campaign
 from repro.nand.reliability import AgingState
 from repro.persist import SporReport, run_spor_campaign
+from repro.specs import HostSpec, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
 
@@ -21,13 +22,21 @@ def _config(spor_at_us=20_000.0, aged=False):
     return config
 
 
+def _spec(config, ftl="cube", n_requests=1200, seed=7, prefill=0.7, **fields):
+    return SimulationSpec(
+        config=config,
+        workload=WorkloadSpec("OLTP", n_requests=n_requests),
+        ftl=ftl,
+        prefill=prefill,
+        seed=seed,
+        **fields,
+    )
+
+
 class TestRecovery:
     @pytest.mark.parametrize("ftl", ["page", "vert", "cube", "oracle", "dftl"])
     def test_recovery_serves_zero_stale_reads(self, ftl):
-        report = run_spor_campaign(
-            _config(), "OLTP", ftl=ftl,
-            n_requests=1200, seed=7, prefill=0.7,
-        )
+        report = run_spor_campaign(_spec(_config(), ftl=ftl))
         assert isinstance(report, SporReport)
         assert report.check["violations"] == 0
         assert report.audit is None
@@ -37,10 +46,7 @@ class TestRecovery:
         assert report.issued_before >= report.completed_before
 
     def test_lost_window_is_replayed(self):
-        report = run_spor_campaign(
-            _config(), "OLTP", ftl="cube",
-            n_requests=1200, seed=7, prefill=0.7,
-        )
+        report = run_spor_campaign(_spec(_config()))
         lost = report.lost_writes + report.dropped_reads
         assert lost == report.issued_before - report.completed_before
         recovered = report.recovery
@@ -48,10 +54,7 @@ class TestRecovery:
         assert recovered["oob_records"] >= recovered["mapped_lpns"]
 
     def test_aged_device_recovers(self):
-        report = run_spor_campaign(
-            _config(aged=True), "OLTP", ftl="cube",
-            n_requests=1200, seed=7, prefill=0.7,
-        )
+        report = run_spor_campaign(_spec(_config(aged=True)))
         assert report.clean
 
     def test_dftl_dirty_cmt_at_cut_recovers(self):
@@ -95,10 +98,7 @@ class TestRecovery:
             "cut instant has no dirty CMT entries; pick another instant"
         )
 
-        report = run_spor_campaign(
-            config, "OLTP", ftl="dftl",
-            n_requests=1200, seed=7, prefill=0.7,
-        )
+        report = run_spor_campaign(_spec(config, ftl="dftl"))
         assert report.clean
         assert report.lost_writes > 0  # the window was non-trivial
         recovered = report.recovery
@@ -108,8 +108,7 @@ class TestRecovery:
 
     def test_report_serializes(self):
         report = run_spor_campaign(
-            _config(), "OLTP", ftl="cube",
-            n_requests=800, seed=3, prefill=0.6,
+            _spec(_config(), n_requests=800, seed=3, prefill=0.6)
         )
         payload = report.to_dict()
         assert payload["spor_at_us"] == 20_000.0
@@ -120,7 +119,14 @@ class TestRecovery:
 class TestGuards:
     def test_requires_spor_instant(self):
         with pytest.raises(ValueError, match="spor_at_us"):
-            run_spor_campaign(SSDConfig.small(), "OLTP", n_requests=100)
+            run_spor_campaign(_spec(SSDConfig.small(), n_requests=100))
+
+    def test_rejects_open_loop_host(self):
+        """Phase 1 replays closed-loop, so an open-loop host would be
+        silently run with a different arrival model."""
+        spec = _spec(_config(), host=HostSpec(open_loop=True, rate_iops=20_000))
+        with pytest.raises(ValueError, match="open-loop"):
+            run_spor_campaign(spec)
 
     def test_spor_recover_requires_oob(self):
         sim = SSDSimulation(SSDConfig.small(), ftl="cube")

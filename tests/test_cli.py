@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.parallel import derive_seed
+from repro.persist import CheckpointError
 
 SPEC_SMOKE = Path(__file__).resolve().parents[1] / "examples" / "spec_smoke.json"
 
@@ -110,6 +111,59 @@ class TestSimulate:
             main(["--log-level", "chatty", "simulate"])
 
 
+class TestSimulateSpecOptions:
+    """Run-option flags apply on top of ``--spec FILE`` exactly as they
+    do on top of the run flags."""
+
+    def test_telemetry(self, capsys):
+        assert main(["simulate", "--spec", str(SPEC_SMOKE), "--telemetry"]) == 0
+        assert "die busy time" in capsys.readouterr().out
+
+    def test_profile(self, capsys):
+        assert main(["simulate", "--spec", str(SPEC_SMOKE), "--profile"]) == 0
+        assert "subsystem" in capsys.readouterr().out
+
+    def test_trace(self, tmp_path, capsys):
+        path = tmp_path / "spans.jsonl"
+        assert main([
+            "simulate", "--spec", str(SPEC_SMOKE), "--trace", str(path),
+        ]) == 0
+        assert path.stat().st_size > 0
+        out = capsys.readouterr().out
+        assert f"trace written to {path}" in out
+        assert "stage" in out  # the per-stage breakdown table
+
+    def test_checkpoint(self, tmp_path, capsys):
+        assert main([
+            "simulate", "--spec", str(SPEC_SMOKE),
+            "--checkpoint", str(tmp_path), "--checkpoint-every", "100",
+        ]) == 0
+        assert sorted(p.name for p in tmp_path.glob("ckpt_*"))
+
+    def test_resume_from_missing_checkpoint_fails(self, tmp_path, capsys):
+        with pytest.raises((CheckpointError, FileNotFoundError)):
+            main([
+                "simulate", "--spec", str(SPEC_SMOKE),
+                "--resume", str(tmp_path / "missing"),
+            ])
+        assert "resumed from" not in capsys.readouterr().out
+
+    def test_artifacts_keep_the_file_window(self, tmp_path, capsys):
+        """``--artifacts`` without ``--artifact-every`` leaves the spec
+        file's own time-series window in place."""
+        spec_path = tmp_path / "spec.json"
+        data = json.loads(SPEC_SMOKE.read_text())
+        data["options"] = {"artifact_every": 250.0}
+        spec_path.write_text(json.dumps(data))
+        runs = tmp_path / "runs"
+        assert main([
+            "simulate", "--spec", str(spec_path), "--artifacts", str(runs),
+        ]) == 0
+        (run_dir,) = runs.iterdir()
+        lines = (run_dir / "timeseries.jsonl").read_text().splitlines()
+        assert [json.loads(line)["t_us"] for line in lines[:2]] == [0.0, 250.0]
+
+
 class TestCompare:
     def test_three_ftl_comparison(self, capsys):
         exit_code = main([
@@ -173,7 +227,69 @@ class TestSweep:
         ])
 
 
+_RUN_DEFAULTS = {
+    "workload": "OLTP", "pe": 0, "retention": 0.0, "requests": 8000,
+    "warmup": 2500, "queue_depth": 32, "blocks_per_chip": 48,
+    "prefill": 0.9, "seed": 7, "faults": "none", "check": None,
+}
+
+#: subcommand -> (required positionals, every parsed flag and default)
+PARSED_DEFAULTS = {
+    "characterize": ([], {"chips": 4, "blocks": 8, "report": None}),
+    "simulate": ([], {
+        **_RUN_DEFAULTS, "ftl": "cube", "cmt_capacity": None, "spec": None,
+        "json": None, "trace": None, "metrics_interval": None,
+        "telemetry": False, "profile": False, "checkpoint": None,
+        "checkpoint_every": 1000, "resume": None, "artifacts": None,
+        "artifact_every": None,
+    }),
+    "compare": ([], dict(_RUN_DEFAULTS)),
+    "fuzz": ([], {
+        "seed": 7, "ops": 400, "ftls": "page,vert,cube,oracle,dftl",
+        "check": "strict", "faults": "none", "queue_depth": 8,
+        "prefill": 0.4,
+    }),
+    "sweep": ([], {
+        "spec": None, "ftls": "page,vert,cube", "workloads": "OLTP",
+        "aging": ["0:0"], "faults": ["none"], "jobs": 1, "requests": 2000,
+        "warmup": 500, "queue_depth": 32, "blocks_per_chip": 16,
+        "prefill": 0.5, "seed": 7, "telemetry": False, "json": None,
+        "checkpoint_dir": None, "retries": 0, "artifacts": None,
+    }),
+    "tenants": ([], {
+        "spec": None, "requests_per_tenant": 2000, "rate": 20000.0,
+        "ftl": "cube", "queue_depth": 32, "blocks_per_chip": 48,
+        "prefill": 0.9, "seed": 7, "jobs": 1, "json": None,
+        "artifacts": None,
+    }),
+    "report": (["RUN"], {"run_dir": "RUN", "html": None}),
+    "diff": (["A", "B"], {"run_a": "A", "run_b": "B", "tolerance": 0.1}),
+    "contract": ([], {
+        "workload": "OLTP", "requests": 8000, "blocks_per_chip": 48,
+        "seed": 7, "json": None,
+    }),
+    "spor": ([], {
+        **_RUN_DEFAULTS, "ftl": "cube", "spor_at": None, "json": None,
+    }),
+}
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+    def test_parsed_defaults(self, command):
+        required, defaults = PARSED_DEFAULTS[command]
+        parsed = vars(_build_parser().parse_args([command, *required]))
+        assert parsed == {
+            "log_level": "warning", "command": command, **defaults
+        }
+
+    @pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+    def test_help_renders(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert f"usage: repro-ssd {command}" in capsys.readouterr().out
