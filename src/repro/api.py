@@ -128,18 +128,21 @@ def build_simulation(
 
 
 def run_spec(spec: SimulationSpec) -> SimulationResult:
-    """Build, prefill, and run the simulation one spec describes.
+    """Build, prefill (or restore), and run the simulation one spec
+    describes.
 
     Every option lives on the spec (:class:`~repro.specs.RunOptions`):
     ``trace`` (``"memory"`` or a JSONL path), ``metrics_interval``,
     ``telemetry``, ``profile``, ``check``, ``max_events``, the
-    checkpoint group (handed to :func:`repro.persist.run_checkpointed`)
+    checkpoint group ``checkpoint_every`` / ``checkpoint_dir`` /
+    ``resume_from`` (see :class:`repro.persist.driver.Checkpointing`)
     and ``artifact_dir`` / ``artifact_every`` (see
     :mod:`repro.obs.artifact`).  All off by default, and an off option
     leaves the run bit-for-bit the bare run.
     """
     host = spec.host
     options = spec.options
+    checkpoints = None
     if options.checkpoint_every is not None or options.resume_from is not None:
         incompatible = {
             "trace": options.trace,
@@ -156,9 +159,13 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
                 f"checkpointing is incompatible with {', '.join(bad)} "
                 "(see docs/PERSISTENCE.md)"
             )
-        from repro.persist import run_checkpointed
+        from repro.persist.driver import Checkpointing, restore_state
 
-        return run_checkpointed(spec)
+        checkpoints = Checkpointing(spec)
+        # on resume the header is authoritative for the queue depth,
+        # warm-up and check level
+        spec = checkpoints.spec
+        host, options = spec.host, spec.options
 
     artifacts = options.artifact_dir is not None
     tracer: Optional[Tracer] = None
@@ -218,11 +225,17 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
     progress_sink = get_progress_sink()
     if progress_sink is not None:
         sim.progress = make_progress_hook(progress_sink)
-    if spec.prefill > 0:
+    if checkpoints is not None and checkpoints.state is not None:
+        # no prefill: the checkpoint carries the full media state
+        restore_state(sim, checkpoints.state)
+    elif spec.prefill > 0:
         sim.prefill(spec.prefill)
     trace = spec.build_trace()
     if profiler is not None:
         profiler.pop()
+    segmenting = (
+        checkpoints.replay_kwargs(sim, trace) if checkpoints is not None else {}
+    )
     from repro.ssd.host import replay
 
     try:
@@ -234,6 +247,7 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
             warmup_requests=spec.warmup_requests,
             max_events=options.max_events,
             metrics_interval_us=options.metrics_interval,
+            **segmenting,
         )
     finally:
         if tracer is not None:

@@ -536,7 +536,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    result = run_spec(_spec_from_args(args))
+    spec = _spec_from_args(args)
+    result = run_spec(spec)
     stats = result.stats
     print(stats.summary())
     if stats.tenants:
@@ -576,10 +577,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.resume:
         print(f"resumed from {args.resume}")
     if args.checkpoint:
-        print(
-            f"checkpoints in {args.checkpoint} "
-            f"(every {args.checkpoint_every} requests)"
-        )
+        every = args.checkpoint_every
+        if spec.options.resume_from is not None:
+            from repro.persist import read_header
+
+            # a resume keeps the cadence its checkpoint header records
+            every = read_header(spec.options.resume_from)["checkpoint_every"]
+        print(f"checkpoints in {args.checkpoint} (every {every} requests)")
     if args.trace:
         from repro.obs.analyze import breakdown_report, load_trace
 

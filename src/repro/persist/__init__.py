@@ -28,11 +28,7 @@ from repro.persist.checkpoint import (
     validate_header,
     write_checkpoint,
 )
-from repro.persist.driver import (
-    capture_state,
-    restore_state,
-    run_checkpointed,
-)
+from repro.persist.driver import capture_state, restore_state
 from repro.persist.manifest import (
     MANIFEST_SCHEMA_VERSION,
     ManifestMismatch,
@@ -57,7 +53,6 @@ __all__ = [
     "load_manifest",
     "read_header",
     "restore_state",
-    "run_checkpointed",
     "run_shards_resumable",
     "run_spor_campaign",
     "shard_result_path",

@@ -19,7 +19,13 @@ from repro.persist import (
     validate_header,
     write_checkpoint,
 )
-from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
+from repro.specs import (
+    HostSpec,
+    RunOptions,
+    SimulationSpec,
+    TenantSpec,
+    WorkloadSpec,
+)
 from repro.ssd.config import SSDConfig
 
 
@@ -182,13 +188,23 @@ class TestApiGuards:
             {"options": {"metrics_interval": 100.0}},
             {"host": HostSpec(queue_depth=None, open_loop=True)},
             {"options": {"max_events": 10}},
+            {"options": {"artifact_dir": "runs"}},
+            {
+                "host": HostSpec(
+                    tenants=(
+                        TenantSpec("a", WorkloadSpec("OLTP"), rate_iops=1e4),
+                    )
+                )
+            },
         ],
     )
     def test_incompatible_options_raise(self, tmp_path, kwargs):
+        host = kwargs.get("host", HostSpec())
         spec = SimulationSpec(
             config=SSDConfig.small(),
-            workload=WorkloadSpec("OLTP"),
-            host=kwargs.get("host", HostSpec()),
+            # the tenant streams replace the single workload
+            workload=None if host.tenants else WorkloadSpec("OLTP"),
+            host=host,
             options=RunOptions(
                 checkpoint_every=10,
                 checkpoint_dir=str(tmp_path),

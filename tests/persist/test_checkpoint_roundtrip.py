@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.api import run_spec
+from repro.check import CheckConfig
 from repro.faults import get_campaign
 from repro.nand.reliability import AgingState
 from repro.persist import latest_checkpoint, list_checkpoints, read_header
@@ -106,6 +107,30 @@ class TestResumeEquivalence:
             resume_from=checkpoint,
         )
         assert _key(resumed) == _key(straight)
+
+
+class TestCheckConfig:
+    def test_straight_through_keeps_check_config(self, tmp_path):
+        """A checkpointed run builds its checker from the spec's
+        ``check`` value as given, so ``capture_state`` reaches the
+        report exactly as in the checkpoint-off run."""
+        spec = SimulationSpec(
+            config=SSDConfig.small(),
+            workload=WorkloadSpec("OLTP", n_requests=REQUESTS),
+            ftl="cube",
+            options=RunOptions(check=CheckConfig.strict(capture_state=True)),
+            prefill=0.5,
+            seed=11,
+        )
+        plain = run_spec(spec)
+        checkpointed = run_spec(
+            spec.with_options(
+                checkpoint_every=EVERY, checkpoint_dir=str(tmp_path)
+            )
+        )
+        assert "logical_view" in checkpointed.check
+        assert checkpointed.check.keys() == plain.check.keys()
+        assert read_header(latest_checkpoint(str(tmp_path)))["check"] == "strict"
 
 
 class TestSingleSegment:

@@ -140,6 +140,22 @@ class TestSimulateSpecOptions:
         ]) == 0
         assert sorted(p.name for p in tmp_path.glob("ckpt_*"))
 
+    def test_resume_prints_the_header_cadence(self, tmp_path, capsys):
+        """A resumed run checkpoints at the cadence in the checkpoint
+        header, and says so (not the ``--checkpoint-every`` default)."""
+        assert main([
+            "simulate", "--spec", str(SPEC_SMOKE),
+            "--checkpoint", str(tmp_path / "a"), "--checkpoint-every", "100",
+        ]) == 0
+        first = sorted((tmp_path / "a").glob("ckpt_*"))[0]
+        capsys.readouterr()
+        assert main([
+            "simulate", "--spec", str(SPEC_SMOKE), "--resume", str(first),
+            "--checkpoint", str(tmp_path / "b"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert f"checkpoints in {tmp_path / 'b'} (every 100 requests)" in out
+
     def test_resume_from_missing_checkpoint_fails(self, tmp_path, capsys):
         with pytest.raises((CheckpointError, FileNotFoundError)):
             main([
