@@ -36,6 +36,7 @@ from repro.obs.profile import WallClockProfiler
 from repro.obs.registry import TelemetryRegistry
 from repro.obs.trace import InMemorySink, JsonlSink, Span, Tracer
 from repro.specs import SimulationSpec
+from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
 from repro.ssd.stats import SimulationStats
 
@@ -90,6 +91,55 @@ class SimulationResult:
         return telemetry_report(self.telemetry)
 
 
+def _device_config(config: SSDConfig, check_config) -> SSDConfig:
+    """The config a run's device is built from under ``check_config``."""
+    if check_config is not None and not config.store_tags:
+        # the data-integrity oracle reads content tags back; forcing
+        # store_tags on changes only what the chips *remember*, never
+        # any timing or random draw, so checked and unchecked runs stay
+        # event-for-event identical
+        return replace(config, store_tags=True)
+    return config
+
+
+def _prefill_key(spec: SimulationSpec) -> Optional[tuple]:
+    """What the prefilled device of ``spec`` depends on, or None when
+    the run must prefill for real (see :mod:`repro.parallel.prefill`).
+
+    The seed, workload, warm-up and host reach only the replay.  Runs
+    with a telemetry registry prefill for real because the device
+    collectors count prefill programs; resumed runs restore their
+    checkpoint instead.
+    """
+    from repro.check import parse_check_level
+
+    options = spec.options
+    if (
+        spec.prefill == 0
+        or options.telemetry
+        or options.artifact_dir is not None
+        or options.resume_from is not None
+    ):
+        return None
+    ftl_kwargs = tuple(sorted(spec.ftl_kwargs.items()))
+    if not all(
+        isinstance(value, (bool, int, float, str, type(None)))
+        for _, value in ftl_kwargs
+    ):
+        # a list from a JSON spec does not hash, and an object argument
+        # (a caller-built OPM) carries state no image captures
+        return None
+    check_config = parse_check_level(options.check)
+    return (
+        _device_config(spec.config, check_config),
+        spec.ftl,
+        ftl_kwargs,
+        spec.prefill,
+        # a checker's oracle is part of the captured state
+        check_config,
+    )
+
+
 def build_simulation(
     spec: SimulationSpec, check, workload: str, **wiring
 ) -> Tuple[SSDSimulation, Optional["InvariantChecker"]]:
@@ -104,16 +154,10 @@ def build_simulation(
     """
     from repro.check import InvariantChecker, parse_check_level
 
-    config = spec.config
     checker = None
     check_config = parse_check_level(check)
+    config = _device_config(spec.config, check_config)
     if check_config is not None:
-        # the data-integrity oracle reads content tags back; forcing
-        # store_tags on changes only what the chips *remember*, never
-        # any timing or random draw, so checked and unchecked runs stay
-        # event-for-event identical
-        if not config.store_tags:
-            config = replace(config, store_tags=True)
         checker = InvariantChecker(check_config)
         checker.context.update(
             ftl=spec.ftl,
@@ -229,7 +273,13 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
         # no prefill: the checkpoint carries the full media state
         restore_state(sim, checkpoints.state)
     elif spec.prefill > 0:
-        sim.prefill(spec.prefill)
+        from repro.parallel.prefill import get_prefill_images
+
+        images = get_prefill_images()
+        if images is not None:
+            images.prefill(sim, spec.prefill, _prefill_key(spec))
+        else:
+            sim.prefill(spec.prefill)
     trace = spec.build_trace()
     if profiler is not None:
         profiler.pop()
@@ -341,7 +391,10 @@ def run_many(
     spec.name)``, shards are crash-isolated (a dying worker fails only
     its own run), and results come back in spec order.  ``jobs=1`` runs
     everything inline and is the reference the parallel path reproduces
-    bit-for-bit.
+    bit-for-bit.  Inline runs that share a prefill key (device config,
+    FTL, ``ftl_kwargs``, prefill fraction and check level) prefill once
+    and restore that device for the rest (see
+    :mod:`repro.parallel.prefill`); the results are the same.
 
     ``on_progress`` (if given) is called with ``(name, ok)`` as each run
     finishes, in completion order.  ``on_heartbeat`` (if given) receives
@@ -361,6 +414,7 @@ def run_many(
     the completed outcomes.
     """
     from repro.parallel import merge_snapshots, run_shards, specs_to_shards
+    from repro.parallel.prefill import prefill_images
 
     shards = specs_to_shards(specs, base_seed)
     progress = None
@@ -371,28 +425,32 @@ def run_many(
             callback(outcome.name, outcome.ok)
 
     registry = TelemetryRegistry() if retries > 0 else None
-    if checkpoint_dir is not None:
-        from repro.persist import run_shards_resumable
+    # inline runs that share a prefill key share one prefill image;
+    # spawned workers each prefill their own device
+    keys = [_prefill_key(spec.spec) for spec in specs] if jobs <= 1 else []
+    with prefill_images(keys):
+        if checkpoint_dir is not None:
+            from repro.persist import run_shards_resumable
 
-        outcomes = run_shards_resumable(
-            shards,
-            jobs=jobs,
-            checkpoint_dir=checkpoint_dir,
-            base_seed=base_seed,
-            on_progress=progress,
-            retries=retries,
-            registry=registry,
-            heartbeat=on_heartbeat,
-        )
-    else:
-        outcomes = run_shards(
-            shards,
-            jobs=jobs,
-            on_progress=progress,
-            retries=retries,
-            registry=registry,
-            heartbeat=on_heartbeat,
-        )
+            outcomes = run_shards_resumable(
+                shards,
+                jobs=jobs,
+                checkpoint_dir=checkpoint_dir,
+                base_seed=base_seed,
+                on_progress=progress,
+                retries=retries,
+                registry=registry,
+                heartbeat=on_heartbeat,
+            )
+        else:
+            outcomes = run_shards(
+                shards,
+                jobs=jobs,
+                on_progress=progress,
+                retries=retries,
+                registry=registry,
+                heartbeat=on_heartbeat,
+            )
     results: List[Optional[SimulationResult]] = []
     errors: Dict[str, str] = {}
     for outcome in outcomes:

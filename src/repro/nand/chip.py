@@ -261,6 +261,11 @@ class NandChip:
         if self._fast is not None:
             self._fast.invalidate()
 
+    @property
+    def fast_tables(self) -> Optional[FastPathTables]:
+        """The chip's lookup-table cache; None with the fast path off."""
+        return self._fast
+
     def block_aging(self, block: int) -> AgingState:
         """Effective aging of one block: baseline plus dynamic erases."""
         self._check_block(block)

@@ -203,6 +203,27 @@ class ReliabilityModel:
         self._slowdown_cache: dict = {}
         self._layer_ber_cache: dict = {}
 
+    def _memos(self) -> tuple:
+        return (
+            self._block_cache,
+            self._layer_mult_cache,
+            self._aging_cache,
+            self._slowdown_cache,
+            self._layer_ber_cache,
+        )
+
+    def memo_snapshot(self) -> tuple:
+        """Copies of the hot-path memos.  Every entry is a pure function
+        of its key and of this model's parameters, and is never mutated,
+        so the values are shared by reference."""
+        return tuple(dict(memo) for memo in self._memos())
+
+    def adopt_memos(self, snapshot: tuple) -> None:
+        """Warm this model with the :meth:`memo_snapshot` of an
+        identically parameterized one."""
+        for memo, entries in zip(self._memos(), snapshot):
+            memo.update(entries)
+
     # ------------------------------------------------------------------
     # layer profile
     # ------------------------------------------------------------------

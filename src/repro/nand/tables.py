@@ -19,7 +19,8 @@ numpy lookup tables once per (block, erase epoch):
 Tables are built lazily on first access, one live entry per block.  An
 erase (which moves the block to the next aging epoch) drops that
 block's entry; baseline-aging changes and checkpoint restores clear the
-whole cache.
+whole cache.  A chip restored to another chip's exact state may adopt
+that chip's tables (``memo_snapshot`` / ``adopt_memos``).
 
 Bitwise identity with the scalar model is a hard contract: the hash is a
 vectorized transliteration of :func:`repro.nand.reliability.hash_unit`
@@ -134,6 +135,17 @@ class FastPathTables:
     def invalidate_block(self, block: int) -> None:
         """Drop one block's tables (called by the chip on erase)."""
         self._cache.pop(block, None)
+
+    def memo_snapshot(self) -> Dict[int, BlockTables]:
+        """The tables built so far, block -> tables.  Tables are never
+        mutated, so the snapshot shares them by reference."""
+        return dict(self._cache)
+
+    def adopt_memos(self, snapshot: Dict[int, BlockTables]) -> None:
+        """Start from the :meth:`memo_snapshot` of a chip in this chip's
+        exact state (same chip, blocks and erase epochs), instead of
+        rebuilding its tables one block at a time."""
+        self._cache = dict(snapshot)
 
     def block(self, block: int) -> BlockTables:
         """Tables of ``block`` for its current erase epoch."""

@@ -18,6 +18,9 @@ exactly what a serial run would have produced:
 - :mod:`~repro.parallel.progress` -- the process-wide live-progress
   sink: running shards stream ``completed``/``total``/``sim_us``
   heartbeats back over their result pipes for the CLI status line.
+- :mod:`~repro.parallel.prefill` -- prefill images: an inline batch
+  prefills once per device and restores that state for the other runs
+  on it.
 
 Together these give the reproducibility contract stated in the docs:
 the merged output of a sharded run is bit-for-bit identical for any

@@ -18,6 +18,7 @@ error, and every other shard still completes.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import traceback
 from dataclasses import dataclass, field
@@ -111,7 +112,13 @@ def _run_inline(
     from repro.parallel.progress import set_progress_sink
 
     outcomes = []
-    for spec in specs:
+    for index, spec in enumerate(specs):
+        if index:
+            # a finished shard's simulation lives in reference cycles
+            # (chip <-> lookup tables, FTL <-> controller) that only a
+            # full collection frees; without one, dead simulations pile
+            # up across the batch
+            gc.collect()
         if heartbeat is not None:
             set_progress_sink(
                 lambda payload, name=spec.name: heartbeat(name, payload)

@@ -8,7 +8,8 @@ Three independent layers (see docs/PERSISTENCE.md):
   surfaced as the ``checkpoint_every`` / ``checkpoint_dir`` /
   ``resume_from`` options of a spec run through
   :func:`repro.api.run_spec`, and as ``repro-ssd simulate
-  --checkpoint/--resume``.
+  --checkpoint/--resume``.  :mod:`repro.parallel.prefill` holds the same
+  snapshots in memory so an inline batch prefills once per device.
 - **SPOR** (:mod:`repro.persist.spor`): sudden-power-off injection at a
   simulated instant plus OOB-based FTL recovery, verified end-to-end by
   the shadow-store oracle.

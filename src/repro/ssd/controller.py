@@ -202,7 +202,6 @@ class SSDSimulation:
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
-        ftl = self.ftl
         suspended = self.controller.faults
         if suspended is not None:
             for chip in self.controller.chips:

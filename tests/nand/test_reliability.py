@@ -180,6 +180,19 @@ class TestDeterminism:
         b = ReliabilityModel(seed=11)
         assert a.layer_ber(0, 3, 17, fresh) == b.layer_ber(0, 3, 17, fresh)
 
+    def test_adopted_memos_give_the_same_surface(self, fresh, aged_eol):
+        a = ReliabilityModel(seed=11)
+        warm = (a.layer_ber(0, 3, 17, fresh), a.program_slowdown(0, 3, 17))
+        snapshot = a.memo_snapshot()
+        sizes = [len(memo) for memo in snapshot]
+        a.layer_ber(1, 4, 5, aged_eol)  # a keeps memoizing on its own
+        b = ReliabilityModel(seed=11)
+        b.adopt_memos(snapshot)
+        assert (b.layer_ber(0, 3, 17, fresh), b.program_slowdown(0, 3, 17)) == warm
+        assert b.layer_ber(1, 4, 5, aged_eol) == a.layer_ber(1, 4, 5, aged_eol)
+        # neither model memoizes into the snapshot
+        assert [len(memo) for memo in snapshot] == sizes
+
     def test_different_seed_different_blocks(self, fresh):
         a = ReliabilityModel(seed=11)
         b = ReliabilityModel(seed=12)

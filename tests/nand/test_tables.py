@@ -116,6 +116,30 @@ class TestBlockTables:
         assert chip._fast._cache == {}
         assert chip.programmed_wl_count(0) == 1
 
+    def test_restored_chip_adopts_the_source_tables(self):
+        source = self._chip(AgingState(2000, 1.0))
+        source.program_wl(0, 0, 0)
+        built = source.fast_tables.block(0)
+        state = source.state_dict()
+        snapshot = source.fast_tables.memo_snapshot()
+        # the source moves on: its erase must not reach the snapshot
+        source.erase_block(0)
+        assert snapshot[0] is built
+
+        restored = self._chip(AgingState())
+        restored.load_state_dict(state)
+        restored.fast_tables.adopt_memos(snapshot)
+        assert restored.fast_tables.block(0) is built
+        fresh = self._chip(AgingState())
+        fresh.load_state_dict(state)
+        rebuilt = fresh.fast_tables.block(0)
+        assert (built.wl_ber, built.wl_ber_fresh, built.ep1, built.stable_opt) == (
+            rebuilt.wl_ber, rebuilt.wl_ber_fresh, rebuilt.ep1, rebuilt.stable_opt
+        )
+        # and the restored chip's own erase leaves the snapshot alone
+        restored.erase_block(0)
+        assert snapshot[0] is built
+
 
 class TestChipFastSlowEquivalence:
     """End-to-end: a fast-path chip and a scalar chip produce identical

@@ -79,3 +79,38 @@ class TestRunMany:
         spec = _specs()[0]
         with pytest.raises(ValueError, match="duplicate"):
             specs_to_shards([spec, spec], base_seed=7)
+
+    def test_inline_batch_frees_each_simulation(self, monkeypatch):
+        # a finished run's device (controller, chips, FTL) sits in
+        # reference cycles; the inline path must free it before the next
+        # run builds its own, whenever the automatic collector would run
+        import gc
+        import weakref
+
+        import repro.api
+
+        built = []
+        real = repro.api.build_simulation
+
+        def tracked(*args, **kwargs):
+            alive = [ref for ref in built if ref() is not None]
+            assert not alive, f"{len(alive)} earlier devices still alive"
+            sim, checker = real(*args, **kwargs)
+            built.extend([weakref.ref(sim.controller), weakref.ref(sim.ftl)])
+            return sim, checker
+
+        monkeypatch.setattr(repro.api, "build_simulation", tracked)
+        specs = _specs() + _specs(telemetry=True)
+        specs = [
+            RunSpec(name=f"{index}-{spec.name}", spec=spec.spec)
+            for index, spec in enumerate(specs)
+        ]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            batch = run_many(specs, jobs=1)
+        finally:
+            if enabled:
+                gc.enable()
+        assert batch.ok, batch.errors
+        assert len(built) == 2 * len(specs)
