@@ -109,7 +109,8 @@ def _prefill_key(spec: SimulationSpec) -> Optional[tuple]:
     The seed, workload, warm-up and host reach only the replay.  Runs
     with a telemetry registry prefill for real because the device
     collectors count prefill programs; resumed runs restore their
-    checkpoint instead.
+    checkpoint instead, and checkpointed runs keep the cost of a whole
+    run in their host time.
     """
     from repro.check import parse_check_level
 
@@ -118,6 +119,7 @@ def _prefill_key(spec: SimulationSpec) -> Optional[tuple]:
         spec.prefill == 0
         or options.telemetry
         or options.artifact_dir is not None
+        or options.checkpoint_every is not None
         or options.resume_from is not None
     ):
         return None
@@ -249,7 +251,14 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
         telemetry=registry,
         profiler=profiler,
     )
-    recorder = None
+    # the periodic samplers, in start order: metrics, then time series
+    samplers = []
+    metrics = recorder = None
+    if options.metrics_interval is not None:
+        from repro.obs.metrics import MetricsSampler
+
+        metrics = MetricsSampler(sim.ftl, options.metrics_interval)
+        samplers.append(metrics)
     if artifacts:
         from repro.obs.timeseries import (
             DEFAULT_INTERVAL_US,
@@ -261,7 +270,7 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
             sim.controller.engine,
             interval_us=options.artifact_every or DEFAULT_INTERVAL_US,
         )
-        sim.timeseries = recorder
+        samplers.append(recorder)
     # live progress is independent of artifacts: any run may report to
     # the process-wide sink the shard pool installed (None otherwise)
     from repro.parallel.progress import get_progress_sink, make_progress_hook
@@ -296,12 +305,14 @@ def run_spec(spec: SimulationSpec) -> SimulationResult:
             queue_depth=host.queue_depth,
             warmup_requests=spec.warmup_requests,
             max_events=options.max_events,
-            metrics_interval_us=options.metrics_interval,
+            samplers=samplers,
             **segmenting,
         )
     finally:
         if tracer is not None:
             tracer.close()
+    if metrics is not None:
+        stats.metrics = metrics.records
     # finalize before the telemetry snapshot so collected gauges include
     # the end-of-run deep audit
     check_report = checker.finalize() if checker is not None else None
@@ -345,21 +356,27 @@ class BatchResult:
     """What :func:`run_many` produced for a batch of named runs.
 
     ``results`` is aligned with the input specs (input order, not
-    completion order); a failed shard leaves ``None`` there and an entry
-    in ``errors``.  ``telemetry`` is the combined registry snapshot
+    completion order); a failed run leaves ``None`` there and an entry
+    in ``errors`` (so does a run an interrupt stopped before it ran, but
+    without the entry).  ``telemetry`` is the combined registry snapshot
     merged across the specs that requested telemetry (see
     :func:`repro.parallel.merge.merge_snapshots` for the per-kind merge
-    semantics), or ``None`` when no spec did.
+    semantics), or ``None`` when no spec did.  ``wall_clock_s`` and
+    ``peak_rss_kb`` hold, per run, the host time around the run alone
+    and the peak RSS of the process that ran it (``None`` for a failed
+    run).
     """
 
     names: List[str]
     results: List[Optional[SimulationResult]]
     errors: Dict[str, str] = field(default_factory=dict)
     telemetry: Optional[dict] = None
-    #: names of shards relaunched after a worker hard-died (``retries=``)
+    #: names of runs relaunched after a worker hard-died (``retries=``)
     retried: List[str] = field(default_factory=list)
-    #: names of shards loaded from a sweep checkpoint dir instead of run
+    #: names of runs loaded from a sweep checkpoint dir instead of run
     cached: List[str] = field(default_factory=list)
+    wall_clock_s: List[Optional[float]] = field(default_factory=list)
+    peak_rss_kb: List[Optional[int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -374,6 +391,42 @@ class BatchResult:
         return result
 
 
+def _batch_result(names: List[str], outcomes: list) -> BatchResult:
+    """Fold per-run outcomes (``None`` for a run that never ran) into a
+    :class:`BatchResult`."""
+    from repro.parallel.merge import merge_snapshots
+
+    batch = BatchResult(names=names, results=[])
+    relaunches = 0
+    for outcome in outcomes:
+        landed = outcome is not None
+        batch.results.append(outcome.result if landed and outcome.ok else None)
+        batch.wall_clock_s.append(outcome.wall_clock_s if landed else None)
+        batch.peak_rss_kb.append(outcome.peak_rss_kb if landed else None)
+        if not landed:
+            continue
+        if not outcome.ok:
+            batch.errors[outcome.name] = outcome.error or "unknown error"
+        if outcome.relaunches:
+            batch.retried.append(outcome.name)
+        if outcome.cached:
+            batch.cached.append(outcome.name)
+        else:
+            relaunches += outcome.relaunches
+    telemetered = [
+        r.telemetry for r in batch.results if r is not None and r.telemetry is not None
+    ]
+    if batch.retried:
+        registry = TelemetryRegistry()
+        registry.counter(
+            "shard_retries_total",
+            "shards relaunched after a worker died without reporting",
+        ).inc(relaunches)
+        telemetered.append(registry.snapshot())
+    batch.telemetry = merge_snapshots(telemetered) if telemetered else None
+    return batch
+
+
 def run_many(
     specs: Sequence["RunSpec"],
     jobs: int = 1,
@@ -383,12 +436,12 @@ def run_many(
     checkpoint_dir: Optional[str] = None,
     on_heartbeat: Optional[Callable[[str, dict], None]] = None,
 ) -> BatchResult:
-    """Run a batch of :class:`~repro.parallel.RunSpec` runs, sharded
-    across up to ``jobs`` worker processes.
+    """Run a batch of :class:`~repro.parallel.RunSpec` runs across up to
+    ``jobs`` worker processes.
 
     The batch result is a pure function of ``(specs, base_seed)``: each
     spec's seed is its pinned ``seed`` or ``derive_seed(base_seed,
-    spec.name)``, shards are crash-isolated (a dying worker fails only
+    spec.name)``, runs are crash-isolated (a dying worker fails only
     its own run), and results come back in spec order.  ``jobs=1`` runs
     everything inline and is the reference the parallel path reproduces
     bit-for-bit.  Inline runs that share a prefill key (device config,
@@ -400,79 +453,67 @@ def run_many(
     finishes, in completion order.  ``on_heartbeat`` (if given) receives
     ``(name, payload)`` live-progress messages while runs are still in
     flight -- ``payload`` carries ``completed``/``total`` request counts
-    and the shard's simulated-time watermark ``sim_us`` (see
+    and the run's simulated-time watermark ``sim_us`` (see
     :mod:`repro.parallel.progress`).
 
-    ``retries`` relaunches shards whose worker hard-died (same spec,
-    same derived seed -- see :func:`repro.parallel.run_shards`); the
-    names of retried shards land in ``BatchResult.retried`` and the
-    ``shard_retries_total`` counter in ``BatchResult.telemetry``.
-    ``checkpoint_dir`` makes the batch resumable: completed runs are
-    saved there as they land, and a rerun with the same specs and base
-    seed loads them (``BatchResult.cached``) instead of re-running.  A
-    SIGINT raises :class:`~repro.parallel.ShardsInterrupted` carrying
-    the completed outcomes.
+    ``retries`` relaunches runs whose worker hard-died (same spec, same
+    seed); the names of retried runs land in ``BatchResult.retried`` and
+    the ``shard_retries_total`` counter in ``BatchResult.telemetry``.
+    ``checkpoint_dir`` makes the batch resumable (see
+    :mod:`repro.persist.manifest`): completed runs are saved there as
+    they land, and a rerun with the same specs and base seed loads them
+    (``BatchResult.cached``) and runs only the rest.  A SIGINT raises
+    :class:`~repro.parallel.ShardsInterrupted` carrying the partial
+    :class:`BatchResult`.
     """
-    from repro.parallel import merge_snapshots, run_shards, specs_to_shards
+    from repro.parallel.experiments import execute_run_spec, resolve_seed
     from repro.parallel.prefill import prefill_images
+    from repro.parallel.runner import ShardsInterrupted, _run_shards, _Shard
 
-    shards = specs_to_shards(specs, base_seed)
-    progress = None
-    if on_progress is not None:
-        callback = on_progress
+    names = [spec.name for spec in specs]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(
+            f"duplicate RunSpec names {duplicates}: the name is the run's "
+            "seed-derivation identity, so it must be unique per run"
+        )
+    outcomes: list = [None] * len(specs)
+    if checkpoint_dir is not None:
+        from repro.persist.manifest import load_outcomes, save_outcome
 
-        def progress(outcome):
-            callback(outcome.name, outcome.ok)
+        outcomes = load_outcomes(checkpoint_dir, names, base_seed)
+        for outcome in outcomes:
+            if outcome is not None and on_progress is not None:
+                on_progress(outcome.name, outcome.ok)
+    todo = [index for index, outcome in enumerate(outcomes) if outcome is None]
 
-    registry = TelemetryRegistry() if retries > 0 else None
+    def landed(position: int, outcome) -> None:
+        outcomes[todo[position]] = outcome
+        if checkpoint_dir is not None and outcome.ok:
+            save_outcome(checkpoint_dir, outcome)
+        if on_progress is not None:
+            on_progress(outcome.name, outcome.ok)
+
+    shards = [
+        _Shard(
+            specs[index].name,
+            execute_run_spec,
+            {"spec": specs[index], "seed": resolve_seed(specs[index], base_seed)},
+        )
+        for index in todo
+    ]
     # inline runs that share a prefill key share one prefill image;
     # spawned workers each prefill their own device
-    keys = [_prefill_key(spec.spec) for spec in specs] if jobs <= 1 else []
-    with prefill_images(keys):
-        if checkpoint_dir is not None:
-            from repro.persist import run_shards_resumable
-
-            outcomes = run_shards_resumable(
-                shards,
-                jobs=jobs,
-                checkpoint_dir=checkpoint_dir,
-                base_seed=base_seed,
-                on_progress=progress,
-                retries=retries,
-                registry=registry,
+    keys = [_prefill_key(specs[index].spec) for index in todo] if jobs <= 1 else []
+    try:
+        with prefill_images(keys):
+            _run_shards(
+                shards, jobs=jobs, on_outcome=landed, retries=retries,
                 heartbeat=on_heartbeat,
             )
-        else:
-            outcomes = run_shards(
-                shards,
-                jobs=jobs,
-                on_progress=progress,
-                retries=retries,
-                registry=registry,
-                heartbeat=on_heartbeat,
-            )
-    results: List[Optional[SimulationResult]] = []
-    errors: Dict[str, str] = {}
-    for outcome in outcomes:
-        if outcome.ok:
-            results.append(outcome.result)
-        else:
-            results.append(None)
-            errors[outcome.name] = outcome.error or "unknown error"
-    retried = [outcome.name for outcome in outcomes if outcome.retried]
-    telemetered = [
-        r.telemetry for r in results if r is not None and r.telemetry is not None
-    ]
-    if registry is not None and retried:
-        telemetered.append(registry.snapshot())
-    return BatchResult(
-        names=[spec.name for spec in specs],
-        results=results,
-        errors=errors,
-        telemetry=merge_snapshots(telemetered) if telemetered else None,
-        retried=retried,
-        cached=[outcome.name for outcome in outcomes if outcome.cached],
-    )
+    except KeyboardInterrupt:
+        raise ShardsInterrupted(_batch_result(names, outcomes)) from None
+    return _batch_result(names, outcomes)
 
 
 @dataclass

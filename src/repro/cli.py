@@ -766,33 +766,6 @@ def _heartbeat_printer(n_runs: int):
     return heartbeat, clear
 
 
-def _partial_sweep_payload(specs, outcomes, base_seed):
-    """Sweep JSON for an interrupted run: whatever completed, flagged
-    ``"incomplete": true`` so downstream tooling never mistakes it for
-    a full sweep."""
-    from repro.parallel import resolve_seed
-
-    by_name = {outcome.name: outcome for outcome in outcomes}
-    runs = []
-    for spec in specs:
-        outcome = by_name.get(spec.name)
-        runs.append(
-            {
-                "name": spec.name,
-                "seed": resolve_seed(spec, base_seed),
-                "ftl": spec.spec.ftl,
-                "workload": spec.spec.workload_name,
-                "stats": (
-                    outcome.result.stats.to_dict()
-                    if outcome is not None and outcome.ok
-                    else None
-                ),
-                "error": outcome.error if outcome is not None else None,
-            }
-        )
-    return {"base_seed": base_seed, "incomplete": True, "runs": runs}
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.api import run_many
     from repro.parallel import ShardsInterrupted, resolve_seed
@@ -807,6 +780,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         clear_heartbeat()
         print(f"  {name}: {'done' if ok else 'FAILED'}", flush=True)
 
+    interrupted = False
     try:
         batch = run_many(
             specs,
@@ -818,65 +792,48 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             on_heartbeat=heartbeat,
         )
     except ShardsInterrupted as interrupt:
-        clear_heartbeat()
-        done = len(interrupt.outcomes)
+        batch, interrupted = interrupt.batch, True
+    clear_heartbeat()
+    if interrupted:
+        done = len(batch.errors) + sum(r is not None for r in batch.results)
         print(
             f"\ninterrupted: {done}/{len(specs)} cell(s) complete",
             file=sys.stderr,
         )
-        if args.json:
-            import json
+    else:
+        if args.artifacts:
+            from repro.obs.artifact import write_sweep_manifest
 
-            payload = _partial_sweep_payload(
-                specs, interrupt.outcomes, args.seed
+            cells = {
+                spec.name: (result.artifact if result is not None else None)
+                for spec, result in zip(specs, batch.results)
+            }
+            index = write_sweep_manifest(args.artifacts, cells, args.seed)
+            print(f"sweep artifact index written to {index}")
+        rows = []
+        for spec, result in zip(specs, batch.results):
+            if result is None:
+                rows.append([spec.name, str(resolve_seed(spec, args.seed)),
+                             "FAILED", "-", "-", "-"])
+                continue
+            stats = result.stats
+            rows.append(
+                [
+                    spec.name,
+                    str(resolve_seed(spec, args.seed)),
+                    f"{stats.iops:.0f}",
+                    f"{stats.read_latency.percentile(99):.0f}",
+                    f"{stats.write_latency.percentile(99):.0f}",
+                    f"{stats.counters.mean_num_retry:.2f}",
+                ]
             )
-            with open(args.json, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-            print(
-                f"partial sweep results written to {args.json}",
-                file=sys.stderr,
+        print(
+            format_table(
+                ["cell", "seed", "IOPS", "read p99 us", "write p99 us",
+                 "retries/read"],
+                rows,
             )
-        if args.checkpoint_dir:
-            print(
-                f"rerun with --checkpoint-dir {args.checkpoint_dir} to "
-                "finish the remaining cells",
-                file=sys.stderr,
-            )
-        return 130
-    clear_heartbeat()
-    if args.artifacts:
-        from repro.obs.artifact import write_sweep_manifest
-
-        cells = {
-            spec.name: (result.artifact if result is not None else None)
-            for spec, result in zip(specs, batch.results)
-        }
-        index = write_sweep_manifest(args.artifacts, cells, args.seed)
-        print(f"sweep artifact index written to {index}")
-    rows = []
-    for spec, result in zip(specs, batch.results):
-        if result is None:
-            rows.append([spec.name, str(resolve_seed(spec, args.seed)),
-                         "FAILED", "-", "-", "-"])
-            continue
-        stats = result.stats
-        rows.append(
-            [
-                spec.name,
-                str(resolve_seed(spec, args.seed)),
-                f"{stats.iops:.0f}",
-                f"{stats.read_latency.percentile(99):.0f}",
-                f"{stats.write_latency.percentile(99):.0f}",
-                f"{stats.counters.mean_num_retry:.2f}",
-            ]
         )
-    print(
-        format_table(
-            ["cell", "seed", "IOPS", "read p99 us", "write p99 us",
-             "retries/read"],
-            rows,
-        )
-    )
     if args.json:
         import json
 
@@ -898,9 +855,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         }
         if batch.telemetry is not None:
             payload["telemetry"] = batch.telemetry
+        if interrupted:
+            # never mistaken downstream for a full sweep
+            payload["incomplete"] = True
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"sweep results written to {args.json}")
+        print(
+            f"{'partial ' if interrupted else ''}sweep results written to "
+            f"{args.json}",
+            file=sys.stderr if interrupted else sys.stdout,
+        )
+    if interrupted:
+        if args.checkpoint_dir:
+            print(
+                f"rerun with --checkpoint-dir {args.checkpoint_dir} to "
+                "finish the remaining cells",
+                file=sys.stderr,
+            )
+        return 130
     if batch.errors:
         for name, error in batch.errors.items():
             print(f"FAILED cell {name}:\n{error}", file=sys.stderr)

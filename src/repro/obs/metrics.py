@@ -8,7 +8,8 @@ savings and the ORT hit rate.  Samples are cumulative where the
 underlying counters are cumulative; :func:`repro.obs.analyze.metrics_timeline`
 differentiates them into per-interval rates.
 
-The sampler rides on :meth:`repro.sim.engine.Engine.every`, so with no
+The sampler rides on :meth:`repro.sim.engine.Engine.every` through
+:class:`PeriodicSampler`, the one periodic-sampling loop, so with no
 sampler attached the event sequence is bit-for-bit the run without
 metrics; with one attached, its events only *read* state, and it is
 stopped at the last host completion so the engine clock (and therefore
@@ -18,7 +19,7 @@ IOPS / latency statistics) is never advanced past the real workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -106,42 +107,32 @@ class MetricsSample:
         }
 
 
-class MetricsSampler:
-    """Periodic snapshots of an FTL-attached SSD simulation.
+class PeriodicSampler:
+    """Records taken every ``interval_us`` of simulated time.
 
-    Parameters
-    ----------
-    ftl:
-        The running FTL (gives access to counters, buffer, block
-        manager, and -- via ``ftl.opm`` when present -- the ORT).
-    interval_us:
-        Simulated time between snapshots.
-    completed_fn:
-        Callable returning the number of host requests completed so
-        far; supplied by the run loop.
+    The one periodic-sampling loop: :class:`MetricsSampler` and
+    :class:`~repro.obs.timeseries.TimeSeriesRecorder` differ only in
+    what ``_take`` appends to ``records``.  The host replay loop starts
+    every sampler of a run before the first request, stops them at the
+    last host completion and finalizes them after the run.  Subclasses
+    provide ``engine`` and ``_take``.
     """
 
-    def __init__(
-        self,
-        ftl,
-        interval_us: float,
-        completed_fn: Optional[Callable[[], int]] = None,
-    ) -> None:
+    def __init__(self, interval_us: float) -> None:
         if interval_us <= 0:
             raise ValueError("interval_us must be > 0")
-        self.ftl = ftl
         self.interval_us = interval_us
-        self.samples: List[MetricsSample] = []
-        self._completed_fn = completed_fn
+        self.records: list = []
+        #: returns the host requests completed so far (set by ``start``)
+        self.completed_fn: Optional[Callable[[], int]] = None
         self._recurring = None
+        self._taken_us: Optional[float] = None
 
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Take the t=start snapshot and begin periodic sampling."""
-        engine = self.ftl.controller.engine
-        self._take()
-        self._recurring = engine.every(self.interval_us, self._take)
+    def start(self, completed_fn: Optional[Callable[[], int]] = None) -> None:
+        """Take the t=start record and begin periodic recording."""
+        self.completed_fn = completed_fn
+        self._record()
+        self._recurring = self.engine.every(self.interval_us, self._record)
 
     def stop(self) -> None:
         """Cancel the pending sampling event (the engine clock will not
@@ -150,18 +141,44 @@ class MetricsSampler:
             self._recurring.stop()
             self._recurring = None
 
-    def finalize(self) -> List[MetricsSample]:
-        """Stop sampling and record the end-of-run snapshot, replacing
-        a periodic sample that happens to share its timestamp so the
-        final sample always aligns with the final statistics."""
+    def finalize(self) -> list:
+        """Stop sampling and take the end-of-run record, replacing a
+        periodic record taken at the same instant so the final record
+        always aligns with the final statistics."""
         self.stop()
-        now = self.ftl.controller.engine.now
-        if self.samples and self.samples[-1].t_us == now:
-            self.samples.pop()
-        self._take()
-        return self.samples
+        if self.records and self._taken_us == self.engine.now:
+            self._drop_last()
+        self._record()
+        return self.records
 
-    # ------------------------------------------------------------------
+    def _record(self) -> None:
+        self._take()
+        self._taken_us = self.engine.now
+
+    def _drop_last(self) -> None:
+        self.records.pop()
+
+
+class MetricsSampler(PeriodicSampler):
+    """Periodic :class:`MetricsSample` snapshots of an FTL-attached SSD
+    simulation.
+
+    Parameters
+    ----------
+    ftl:
+        The running FTL (gives access to counters, buffer, block
+        manager, and -- via ``ftl.opm`` when present -- the ORT).
+    interval_us:
+        Simulated time between snapshots.
+    """
+
+    def __init__(self, ftl, interval_us: float) -> None:
+        super().__init__(interval_us)
+        self.ftl = ftl
+
+    @property
+    def engine(self):
+        return self.ftl.controller.engine
 
     def _take(self) -> None:
         ftl = self.ftl
@@ -174,11 +191,11 @@ class MetricsSampler:
         free_blocks = sum(
             blocks.free_count(chip) for chip in range(ftl.geometry.n_chips)
         )
-        self.samples.append(
+        self.records.append(
             MetricsSample(
                 t_us=controller.engine.now,
                 completed_requests=(
-                    self._completed_fn() if self._completed_fn is not None else 0
+                    self.completed_fn() if self.completed_fn is not None else 0
                 ),
                 buffer_utilization=buffer.utilization,
                 buffer_occupancy=buffer.occupancy,

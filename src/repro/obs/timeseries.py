@@ -2,12 +2,13 @@
 
 A :class:`TimeSeriesRecorder` snapshots a
 :class:`~repro.obs.registry.TelemetryRegistry` every ``interval_us`` of
-*simulated* time, riding on :meth:`repro.sim.engine.Engine.every`
-exactly like the :class:`~repro.obs.metrics.MetricsSampler` does: with
-no recorder attached the event sequence is bit-for-bit the run without
-one; with one attached its events only *read* state, and it is stopped
-at the last host completion so the engine clock never advances past the
-real workload.
+*simulated* time through the same
+:class:`~repro.obs.metrics.PeriodicSampler` loop as the
+:class:`~repro.obs.metrics.MetricsSampler`: with no recorder attached
+the event sequence is bit-for-bit the run without one; with one
+attached its events only *read* state, and it is stopped at the last
+host completion so the engine clock never advances past the real
+workload.
 
 Each snapshot is flattened to scalar keys
 (:func:`flatten_snapshot`) and stored as a *delta window*: the first
@@ -27,6 +28,8 @@ record.
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
+
+from repro.obs.metrics import PeriodicSampler
 
 #: default snapshot cadence when ``artifact_every`` is not given (us)
 DEFAULT_INTERVAL_US = 1000.0
@@ -81,7 +84,7 @@ def expand_records(records: Iterable[dict]) -> Tuple[List[float], List[Dict[str,
     return times, windows
 
 
-class TimeSeriesRecorder:
+class TimeSeriesRecorder(PeriodicSampler):
     """Engine-driven periodic registry snapshots with delta compression.
 
     Parameters
@@ -94,52 +97,23 @@ class TimeSeriesRecorder:
         The event engine driving simulated time.
     interval_us:
         Simulated microseconds between windows.
+
+    ``records`` holds the delta windows:
+    ``{"t_us": ..., "full": ..., "values": {...}}``.
     """
 
     def __init__(self, registry, engine, interval_us: float = DEFAULT_INTERVAL_US) -> None:
-        if interval_us <= 0:
-            raise ValueError("interval_us must be > 0")
+        super().__init__(interval_us)
         self.registry = registry
         self.engine = engine
-        self.interval_us = interval_us
-        #: delta windows: ``{"t_us": ..., "full": ..., "values": {...}}``
-        self.records: List[dict] = []
         self._last: Dict[str, float] = {}
-        self._recurring = None
 
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Take the t=start window and begin periodic recording."""
-        self._take()
-        self._recurring = self.engine.every(self.interval_us, self._take)
-
-    def stop(self) -> None:
-        """Cancel the pending snapshot event (the engine clock will not
-        advance to it)."""
-        if self._recurring is not None:
-            self._recurring.stop()
-            self._recurring = None
-
-    def finalize(self) -> List[dict]:
-        """Stop recording and take the end-of-run window, replacing a
-        periodic window that happens to share its timestamp so the final
-        window always aligns with the final statistics."""
-        self.stop()
-        now = self.engine.now
-        if self.records and self.records[-1]["t_us"] == now:
-            dropped = self.records.pop()
-            # rebuild the "previous" view without the dropped window so
-            # the replacement's delta is computed against the same base
-            self._last = dict(self._last)
-            for key in dropped["values"]:
-                self._last.pop(key, None)
-            _, windows = expand_records(self.records)
-            self._last = windows[-1] if windows else {}
-        self._take()
-        return self.records
-
-    # ------------------------------------------------------------------
+    def _drop_last(self) -> None:
+        # rebuild the "previous" view without the dropped window so the
+        # replacement's delta is computed against the same base
+        self.records.pop()
+        _, windows = expand_records(self.records)
+        self._last = windows[-1] if windows else {}
 
     def _take(self) -> None:
         flat = flatten_snapshot(self.registry.snapshot())

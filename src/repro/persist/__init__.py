@@ -13,9 +13,10 @@ Three independent layers (see docs/PERSISTENCE.md):
 - **SPOR** (:mod:`repro.persist.spor`): sudden-power-off injection at a
   simulated instant plus OOB-based FTL recovery, verified end-to-end by
   the shadow-store oracle.
-- **Resumable sweeps** (:mod:`repro.persist.manifest`): a manifest +
-  per-shard result directory so an interrupted ``repro-ssd sweep``
-  reruns only unfinished shards.
+- **Resumable sweeps** (:mod:`repro.persist.manifest`): the manifest +
+  per-run result directory behind ``run_many(..., checkpoint_dir=...)``
+  and ``repro-ssd sweep --checkpoint-dir``, so an interrupted sweep
+  reruns only unfinished runs.
 """
 
 from repro.persist.checkpoint import (
@@ -34,7 +35,6 @@ from repro.persist.manifest import (
     MANIFEST_SCHEMA_VERSION,
     ManifestMismatch,
     load_manifest,
-    run_shards_resumable,
     shard_result_path,
     write_manifest,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "load_manifest",
     "read_header",
     "restore_state",
-    "run_shards_resumable",
     "run_spor_campaign",
     "shard_result_path",
     "validate_header",

@@ -1,21 +1,22 @@
-"""Resumable sweep orchestration: manifest + per-shard result files.
+"""Resumable sweeps: manifest + per-run result files.
 
-A sweep checkpoint directory holds
+A sweep checkpoint directory (``run_many(..., checkpoint_dir=DIR)``,
+``repro-ssd sweep --checkpoint-dir DIR``) holds
 
 - ``manifest.json`` -- the sweep's identity: schema version, base seed,
-  and the ordered shard-name list.  A rerun must present the identical
+  and the ordered run-name list.  A rerun must present the identical
   identity; anything else is a :class:`ManifestMismatch` (silently
   mixing results from two different sweeps is exactly the bug this
   guards against).
-- ``shard_<name>.pkl`` -- one pickled :class:`~repro.parallel.ShardOutcome`
-  per *successfully completed* shard, written as each shard lands.
+- ``shard_<name>_<digest>.pkl`` -- one pickled outcome per
+  *successfully completed* run, written as each run lands.
 
-:func:`run_shards_resumable` wraps :func:`repro.parallel.run_shards`:
-on a rerun it loads every saved outcome (marking it ``cached=True``),
-launches only the still-unfinished shards, and keeps saving as they
-complete -- so an interrupted sweep (Ctrl-C, crash, power loss) costs
-only the shards that had not finished.  Failed shards are *not* saved:
-a rerun retries them.
+On a rerun :func:`repro.api.run_many` loads every saved outcome
+(:func:`load_outcomes`, marked ``cached``), runs only the unfinished
+runs, and keeps saving as they complete (:func:`save_outcome`) -- so
+an interrupted sweep (Ctrl-C, crash, power loss) costs only the runs
+that had not finished.  Failed runs are *not* saved: a rerun retries
+them.
 """
 
 from __future__ import annotations
@@ -25,16 +26,10 @@ import json
 import os
 import pickle
 import re
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.parallel.runner import (
-    ShardOutcome,
-    ShardSpec,
-    ShardsInterrupted,
-    run_shards,
-)
-
-MANIFEST_SCHEMA_VERSION = 1
+#: 2: outcomes carry relaunch counts and the host wall clock / peak RSS
+MANIFEST_SCHEMA_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 
 _UNSAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
@@ -45,9 +40,9 @@ class ManifestMismatch(ValueError):
 
 
 def shard_result_path(checkpoint_dir: str, name: str) -> str:
-    """Filesystem path of one shard's saved outcome.
+    """Filesystem path of one run's saved outcome.
 
-    The filename embeds a digest of the exact shard name, so names that
+    The filename embeds a digest of the exact run name, so names that
     only differ in sanitized-away characters can never collide.
     """
     slug = _UNSAFE_RE.sub("_", name)[:80]
@@ -79,83 +74,40 @@ def load_manifest(checkpoint_dir: str) -> Optional[dict]:
         return json.load(fh)
 
 
-def run_shards_resumable(
-    specs: Sequence[ShardSpec],
-    jobs: int = 1,
-    checkpoint_dir: Optional[str] = None,
-    base_seed: int = 7,
-    on_progress: Optional[Callable[[ShardOutcome], None]] = None,
-    retries: int = 0,
-    registry=None,
-    heartbeat: Optional[Callable[[str, dict], None]] = None,
-) -> List[ShardOutcome]:
-    """:func:`repro.parallel.run_shards` with sweep-level durability.
-
-    With ``checkpoint_dir=None`` this is exactly ``run_shards``.  With a
-    directory, previously saved outcomes are loaded instead of re-run
-    (``cached=True`` provenance), only unfinished shards launch, and
-    each success is saved as it lands.  On SIGINT the raised
-    :class:`~repro.parallel.ShardsInterrupted` carries cached *and*
-    freshly completed outcomes, and everything saved so far survives for
-    the next rerun.
-    """
-    if checkpoint_dir is None:
-        return run_shards(
-            specs, jobs=jobs, on_progress=on_progress,
-            retries=retries, registry=registry, heartbeat=heartbeat,
-        )
-    names = [spec.name for spec in specs]
+def load_outcomes(
+    checkpoint_dir: str, names: Sequence[str], base_seed: int
+) -> List[Optional[object]]:
+    """The saved outcome of each named run (``None`` where there is
+    none yet), after checking -- or writing -- the manifest."""
     manifest = load_manifest(checkpoint_dir)
     if manifest is None:
         write_manifest(checkpoint_dir, names, base_seed)
-    else:
-        if (
-            manifest.get("schema_version") != MANIFEST_SCHEMA_VERSION
-            or manifest.get("shards") != names
-            or manifest.get("base_seed") != base_seed
-        ):
-            raise ManifestMismatch(
-                f"{checkpoint_dir}: existing manifest does not match this "
-                "sweep (different shards, base seed, or schema); use a "
-                "fresh checkpoint directory"
-            )
-
-    cached: dict = {}
-    for spec in specs:
-        path = shard_result_path(checkpoint_dir, spec.name)
+    elif (
+        manifest.get("schema_version") != MANIFEST_SCHEMA_VERSION
+        or manifest.get("shards") != list(names)
+        or manifest.get("base_seed") != base_seed
+    ):
+        raise ManifestMismatch(
+            f"{checkpoint_dir}: existing manifest does not match this "
+            "sweep (different runs, base seed, or schema); use a fresh "
+            "checkpoint directory"
+        )
+    outcomes: List[Optional[object]] = []
+    for name in names:
+        outcome = None
+        path = shard_result_path(checkpoint_dir, name)
         if os.path.isfile(path):
             with open(path, "rb") as fh:
                 outcome = pickle.load(fh)
             outcome.cached = True
-            cached[spec.name] = outcome
+        outcomes.append(outcome)
+    return outcomes
 
-    def _save(outcome: ShardOutcome) -> None:
-        if outcome.ok:
-            path = shard_result_path(checkpoint_dir, outcome.name)
-            tmp_path = path + ".tmp"
-            with open(tmp_path, "wb") as fh:
-                pickle.dump(outcome, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)
-        if on_progress is not None:
-            on_progress(outcome)
 
-    todo = [spec for spec in specs if spec.name not in cached]
-    for spec in specs:
-        if spec.name in cached and on_progress is not None:
-            on_progress(cached[spec.name])
-    try:
-        fresh = run_shards(
-            todo, jobs=jobs, on_progress=_save,
-            retries=retries, registry=registry, heartbeat=heartbeat,
-        )
-    except ShardsInterrupted as interrupt:
-        by_name = dict(cached)
-        by_name.update(
-            {outcome.name: outcome for outcome in interrupt.outcomes}
-        )
-        raise ShardsInterrupted(
-            [by_name[name] for name in names if name in by_name]
-        ) from None
-    by_name = dict(cached)
-    by_name.update({outcome.name: outcome for outcome in fresh})
-    return [by_name[name] for name in names]
+def save_outcome(checkpoint_dir: str, outcome) -> None:
+    """Atomically save one successful run's outcome."""
+    path = shard_result_path(checkpoint_dir, outcome.name)
+    tmp_path = path + ".tmp"
+    with open(tmp_path, "wb") as fh:
+        pickle.dump(outcome, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    os.replace(tmp_path, path)

@@ -178,9 +178,6 @@ class SSDSimulation:
         self.checker = checker
         if checker is not None:
             checker.attach(self)
-        #: optional :class:`~repro.obs.timeseries.TimeSeriesRecorder`;
-        #: the replay loop starts/stops it alongside the metrics sampler
-        self.timeseries = None
         #: optional ``hook(completed, total, now_us)`` the replay loop
         #: calls per completion (live progress; never schedules events)
         self.progress = None

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.ssd.stats import SimulationStats, TenantStats
 from repro.workloads.base import IORequest, Trace
@@ -63,12 +63,18 @@ def replay(
     queue_depth: Optional[int] = 32,
     warmup_requests: int = 0,
     max_events: Optional[int] = None,
-    metrics_interval_us: Optional[float] = None,
+    samplers: Sequence = (),
     segment_requests: Optional[int] = None,
     on_barrier: Optional[Callable[[dict], None]] = None,
     resume_accounting: Optional[dict] = None,
 ) -> SimulationStats:
-    """Replay a trace through a simulation under one host model."""
+    """Replay a trace through a simulation under one host model.
+
+    ``samplers`` are periodic samplers
+    (:class:`~repro.obs.metrics.PeriodicSampler`), started in order
+    before the first request, stopped at the last host completion and
+    finalized after the run.
+    """
     if mode not in REPLAY_MODES:
         raise ValueError(f"mode must be one of {REPLAY_MODES}")
     if trace.logical_pages > sim.config.logical_pages:
@@ -86,10 +92,7 @@ def replay(
             "a recorded trace that carries timestamps)"
         )
     if segment_requests is not None and (
-        segment_requests < 1
-        or mode != "closed"
-        or metrics_interval_us is not None
-        or sim.timeseries is not None
+        segment_requests < 1 or mode != "closed" or samplers
     ):
         # periodic samplers stop re-arming once the queue drains, so
         # they would go silent after the first slice
@@ -123,14 +126,6 @@ def replay(
         start_us = resume_accounting["start_us"]
         stats.read_latency.extend(resume_accounting["read_latency"])
         stats.write_latency.extend(resume_accounting["write_latency"])
-    sampler = None
-    if metrics_interval_us is not None:
-        from repro.obs.metrics import MetricsSampler
-
-        sampler = MetricsSampler(
-            sim.ftl, metrics_interval_us, completed_fn=lambda: completed
-        )
-    recorder = sim.timeseries
     progress = sim.progress
 
     def issue(request: IORequest) -> None:
@@ -173,10 +168,8 @@ def replay(
         if completed == n_requests:
             # stop re-arming so sampling never advances the clock past
             # the last host completion (it would distort IOPS)
-            if sampler is not None:
+            for sampler in samplers:
                 sampler.stop()
-            if recorder is not None:
-                recorder.stop()
         if waiting and outstanding < queue_depth:
             issue(waiting.popleft())
 
@@ -185,10 +178,8 @@ def replay(
             engine.schedule_at(
                 start_us + request.arrival_us, partial(arrive, request)
             )
-    if sampler is not None:
-        sampler.start()
-    if recorder is not None:
-        recorder.start()
+    for sampler in samplers:
+        sampler.start(lambda: completed)
     position = completed
     while True:
         end = n_requests
@@ -220,10 +211,8 @@ def replay(
     stats.completed_requests = completed - warmup_requests
     stats.counters = sim.ftl.counters
     stats.recovery = sim.ftl.recovery
-    if sampler is not None:
-        stats.metrics = sampler.finalize()
-    if recorder is not None:
-        recorder.finalize()
+    for sampler in samplers:
+        sampler.finalize()
     return stats
 
 

@@ -11,6 +11,7 @@ Three properties carry the optimization:
 """
 
 import json
+import os
 import pickle
 from dataclasses import replace
 
@@ -158,3 +159,48 @@ class TestBatchEquivalence:
         assert batch.ok, batch.errors
         assert len(prefill_calls) == len(cells)
         assert captured == []
+
+    def test_checkpointed_runs_prefill_for_real(self, prefill_calls, tmp_path):
+        # a checkpointing run's host time is the cost of a whole run
+        cells = [
+            RunSpec(
+                name=cell.name,
+                spec=cell.spec.with_options(
+                    checkpoint_every=100,
+                    checkpoint_dir=str(tmp_path / str(index)),
+                ),
+            )
+            for index, cell in enumerate(_cells("cube", check=None)[:2])
+        ]
+        batch = run_many(cells, jobs=1, base_seed=5)
+        assert batch.ok, batch.errors
+        assert len(prefill_calls) == len(cells)
+
+
+class TestResumedBatch:
+    def test_only_executing_runs_count_toward_images(
+        self, prefill_calls, monkeypatch, tmp_path
+    ):
+        from repro.parallel import prefill
+        from repro.persist import shard_result_path
+
+        cells = _cells("cube", check=None)[:2]  # one key, two runs
+        fresh = run_many(cells, jobs=1, base_seed=5, checkpoint_dir=str(tmp_path))
+        assert fresh.ok, fresh.errors
+        assert len(prefill_calls) == 1
+        made = []
+        real = prefill._Image
+
+        def counted(sim):
+            made.append(sim)
+            return real(sim)
+
+        monkeypatch.setattr(prefill, "_Image", counted)
+        os.remove(shard_result_path(str(tmp_path), cells[1].name))
+        rerun = run_many(cells, jobs=1, base_seed=5, checkpoint_dir=str(tmp_path))
+        assert rerun.cached == [cells[0].name]
+        # the one run that executed prefilled for real and left no image
+        assert len(prefill_calls) == 2
+        assert made == []
+        for got, want in zip(rerun.results, fresh.results):
+            assert got.to_dict() == want.to_dict()

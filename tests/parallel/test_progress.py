@@ -9,7 +9,7 @@ from repro.parallel.progress import (
     make_progress_hook,
     set_progress_sink,
 )
-from repro.parallel.runner import ShardSpec, run_shards
+from repro.parallel.runner import _run_shards, _Shard
 
 
 class TestProgressHook:
@@ -84,10 +84,10 @@ class TestShardHeartbeats:
     def test_heartbeats_reach_the_parent(self, jobs):
         beats = []
         specs = [
-            ShardSpec("s0", _emitting_worker, {"n": 8}),
-            ShardSpec("s1", _emitting_worker, {"n": 8}),
+            _Shard("s0", _emitting_worker, {"n": 8}),
+            _Shard("s1", _emitting_worker, {"n": 8}),
         ]
-        outcomes = run_shards(specs, jobs=jobs, heartbeat=lambda name, p:
+        outcomes = _run_shards(specs, jobs=jobs, heartbeat=lambda name, p:
                               beats.append((name, p)))
         assert [o.ok for o in outcomes] == [True, True]
         names = {name for name, _ in beats}
@@ -99,8 +99,8 @@ class TestShardHeartbeats:
             assert mine[-1]["sim_us"] == 16.0
 
     def test_no_heartbeat_callback_means_no_sink_inline(self):
-        specs = [ShardSpec("s0", _emitting_worker, {"n": 4})]
-        outcomes = run_shards(specs, jobs=1)
+        specs = [_Shard("s0", _emitting_worker, {"n": 4})]
+        outcomes = _run_shards(specs, jobs=1)
         # the worker's assert would have failed the shard
         assert not outcomes[0].ok
         assert "sink" in outcomes[0].error
@@ -111,8 +111,8 @@ class TestLogLevelPropagation:
         previous = configured_level()
         configure_logging("debug")
         try:
-            specs = [ShardSpec("lvl", _report_log_level)]
-            outcomes = run_shards(specs, jobs=2)
+            specs = [_Shard("lvl", _report_log_level)]
+            outcomes = _run_shards(specs, jobs=2)
         finally:
             configure_logging(previous or "warning")
         assert outcomes[0].ok

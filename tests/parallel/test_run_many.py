@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import run_many
-from repro.parallel import RunSpec, derive_seed, resolve_seed, specs_to_shards
+from repro.parallel import RunSpec, derive_seed, resolve_seed
 from repro.specs import RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 
@@ -78,7 +78,7 @@ class TestRunMany:
     def test_duplicate_names_rejected(self):
         spec = _specs()[0]
         with pytest.raises(ValueError, match="duplicate"):
-            specs_to_shards([spec, spec], base_seed=7)
+            run_many([spec, spec])
 
     def test_inline_batch_frees_each_simulation(self, monkeypatch):
         # a finished run's device (controller, chips, FTL) sits in
@@ -114,3 +114,20 @@ class TestRunMany:
                 gc.enable()
         assert batch.ok, batch.errors
         assert len(built) == 2 * len(specs)
+
+    def test_results_carry_host_time_and_rss(self):
+        batch = run_many(_specs(), jobs=1)
+        assert all(wall > 0 for wall in batch.wall_clock_s)
+        assert all(rss > 0 for rss in batch.peak_rss_kb)
+
+
+class TestResume:
+    def test_rerun_serves_every_run_cached(self, tmp_path):
+        first = run_many(_specs(telemetry=True), checkpoint_dir=str(tmp_path))
+        assert first.ok and first.cached == []
+        again = run_many(_specs(telemetry=True), checkpoint_dir=str(tmp_path))
+        assert again.cached == again.names == first.names
+        for a, b in zip(first.results, again.results):
+            assert a.to_dict() == b.to_dict()
+            assert a.telemetry == b.telemetry
+        assert again.telemetry == first.telemetry

@@ -242,6 +242,42 @@ class TestSweep:
             ("cube-OLTP-pe2000-ret12", "cube", "OLTP"),
         ])
 
+    def test_interrupted_json_is_incomplete(self, tmp_path, capsys, monkeypatch):
+        import repro.api
+
+        args = [
+            "sweep", "--ftls", "page,cube", "--workloads", "OLTP",
+            "--requests", "60", "--warmup", "0", "--blocks-per-chip", "8",
+            "--prefill", "0.3", "--queue-depth", "8",
+        ]
+        full_path = tmp_path / "full.json"
+        assert main([*args, "--json", str(full_path)]) == 0
+        full = json.loads(full_path.read_text())
+        real, calls = repro.api.run_spec, []
+
+        def interrupted_on_the_second_cell(spec):
+            calls.append(spec)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(spec)
+
+        monkeypatch.setattr(repro.api, "run_spec", interrupted_on_the_second_cell)
+        path = tmp_path / "partial.json"
+        assert main([*args, "--json", str(path)]) == 130
+        payload = json.loads(path.read_text())
+        assert payload["incomplete"] is True
+        assert [run["name"] for run in payload["runs"]] == [
+            run["name"] for run in full["runs"]
+        ]
+        first, rest = payload["runs"][0], payload["runs"][1:]
+        assert first["stats"] == full["runs"][0]["stats"]
+        assert rest and all(run["stats"] is None for run in rest)
+        assert all(
+            run["retried"] is False and run["cached"] is False
+            for run in payload["runs"]
+        )
+        assert "interrupted: 1/2 cell(s) complete" in capsys.readouterr().err
+
 
 _RUN_DEFAULTS = {
     "workload": "OLTP", "pe": 0, "retention": 0.0, "requests": 8000,

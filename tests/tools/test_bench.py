@@ -26,6 +26,9 @@ bench = _load("bench")
 bench_compare = _load("bench_compare")
 check_schema = _load("check_schema")
 
+#: one (name, ftl, workload, aging) case
+CASE = [("cube-OLTP", "cube", "OLTP", None)]
+
 
 @pytest.fixture(scope="module")
 def snapshot():
@@ -33,7 +36,8 @@ def snapshot():
     size = dict(
         requests=150, warmup=0, blocks_per_chip=8, prefill=0.3, queue_depth=8
     )
-    case = bench.run_case("cube-OLTP", "cube", "OLTP", size, seed=7)
+    (case,), errors, _ = bench.run_cases(CASE, size, seed=7)
+    assert errors == []
     return {
         "bench_schema_version": bench.BENCH_SCHEMA_VERSION,
         "label": "test",
@@ -57,7 +61,7 @@ class TestBenchRunner:
             requests=150, warmup=0, blocks_per_chip=8, prefill=0.3,
             queue_depth=8,
         )
-        again = bench.run_case("cube-OLTP", "cube", "OLTP", size, seed=7)
+        (again,), _, _ = bench.run_cases(CASE, size, seed=7)
         for key in ("iops", "read_latency", "write_latency", "counters",
                     "telemetry"):
             assert again[key] == snapshot["cases"][0][key], key

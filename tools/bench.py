@@ -17,10 +17,17 @@ reliability model is hash-based, not host-dependent -- so they are
 comparable across machines.  Wall-clock and RSS are host-dependent and
 informational only.
 
-``--jobs N`` shards the cases across N crash-isolated worker processes
-(via :mod:`repro.parallel`); every case keeps the same explicit seed and
-the snapshot lists cases in the same order, so the simulated metrics are
-identical to a serial run.  ``--canonical`` additionally drops the
+Every case is a :class:`~repro.parallel.RunSpec` with a pinned seed,
+and all of them run as one :func:`repro.api.run_many` batch, which
+times each run where it executes: ``wall_clock_s`` is the host time
+around the run alone and ``peak_rss_kb`` the peak RSS of the process
+that ran it.  ``--checkpoint-every N`` adds a second, checkpointing run
+per case to the batch as an overhead probe.
+
+``--jobs N`` spreads the batch over N crash-isolated worker processes;
+every case keeps the same explicit seed and the snapshot lists cases in
+the same order, so the simulated metrics are identical to a serial run.
+``--canonical`` additionally drops the
 host-dependent fields (wall-clock, RSS, host info), making the snapshot
 *byte-for-byte* identical for any ``--jobs`` value::
 
@@ -37,7 +44,6 @@ import os
 import platform
 import re
 import sys
-import time
 from typing import Optional
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -78,17 +84,6 @@ SIZES = {
 }
 
 
-def _peak_rss_kb() -> Optional[int]:
-    try:
-        import resource
-    except ImportError:  # non-POSIX host
-        return None
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    # ru_maxrss is KB on Linux, bytes on macOS
-    scale = 1024 if sys.platform == "darwin" else 1
-    return int(usage.ru_maxrss // scale)
-
-
 def _latency_dict(hist) -> dict:
     return {
         "count": len(hist),
@@ -100,11 +95,7 @@ def _latency_dict(hist) -> dict:
     }
 
 
-def run_case(
-    name: str, ftl: str, workload: str, size: dict, seed: int, aging=None,
-    checkpoint_every: Optional[int] = None,
-) -> dict:
-    from repro.api import run_spec
+def _spec(ftl: str, workload: str, size: dict, aging=None):
     from repro.nand.geometry import BlockGeometry, SSDGeometry
     from repro.specs import HostSpec, SimulationSpec, WorkloadSpec
     from repro.ssd.config import SSDConfig
@@ -118,62 +109,97 @@ def run_case(
     config = SSDConfig(geometry=geometry)
     if aging is not None:
         config = config.with_aging(aging)
-    spec = SimulationSpec(
+    return SimulationSpec(
         config=config,
         workload=WorkloadSpec(workload, n_requests=size["requests"]),
         ftl=ftl,
         host=HostSpec(queue_depth=size["queue_depth"]),
         warmup_requests=size["warmup"],
         prefill=size["prefill"],
-        seed=seed,
     )
-    started = time.perf_counter()
-    result = run_spec(spec.with_options(telemetry=True))
-    wall = time.perf_counter() - started
-    stats = result.stats
-    case = {
-        "name": name,
-        "ftl": ftl,
-        "workload": workload,
-        "requests": size["requests"],
-        "iops": stats.iops,
-        "read_latency": _latency_dict(stats.read_latency),
-        "write_latency": _latency_dict(stats.write_latency),
-        "wall_clock_s": wall,
-        "peak_rss_kb": _peak_rss_kb(),
-        "counters": stats.to_dict()["counters"],
-        "telemetry": result.telemetry,
-    }
-    if checkpoint_every is not None:
-        # overhead probe: the same case run *with* checkpointing.  The
-        # primary metrics above always come from the checkpoint-off run,
-        # so baselines diff at exactly 0.0 % regardless of this knob;
-        # the sub-dict records what periodic durability costs.
-        import shutil
-        import tempfile
 
-        ckpt_dir = tempfile.mkdtemp(prefix="bench-ckpt-")
-        try:
-            started = time.perf_counter()
-            ckpt_result = run_spec(
-                spec.with_options(
-                    checkpoint_every=checkpoint_every, checkpoint_dir=ckpt_dir
-                )
+
+def run_cases(
+    cases, size: dict, seed: int, jobs: int = 1,
+    checkpoint_every: Optional[int] = None, on_progress=None,
+):
+    """Run ``(name, ftl, workload, aging)`` cases as one
+    :func:`repro.api.run_many` batch and build their BENCH case dicts.
+
+    Each case is one run with telemetry; with ``checkpoint_every`` it
+    also gets a second, checkpointing run as an overhead probe.  Every
+    run pins ``seed``.  Returns ``(cases, errors, incomplete)``: the case
+    dicts in case order, one ``{"name", "error"}`` per failed case, and
+    whether a SIGINT stopped the batch.
+    """
+    import shutil
+    import tempfile
+
+    from repro.api import run_many
+    from repro.parallel import RunSpec, ShardsInterrupted
+
+    runs, probe_dirs = [], []
+    for name, ftl, workload, aging in cases:
+        spec = _spec(ftl, workload, size, aging)
+        runs.append(RunSpec(name, spec.with_options(telemetry=True), seed=seed))
+        if checkpoint_every is not None:
+            probe_dirs.append(tempfile.mkdtemp(prefix="bench-ckpt-"))
+            probe = spec.with_options(
+                checkpoint_every=checkpoint_every, checkpoint_dir=probe_dirs[-1]
             )
-            ckpt_wall = time.perf_counter() - started
-            checkpoints = len(os.listdir(ckpt_dir))
-        finally:
-            shutil.rmtree(ckpt_dir, ignore_errors=True)
-        case["checkpoint"] = {
-            "every": checkpoint_every,
-            "checkpoints_written": checkpoints,
-            "iops": ckpt_result.stats.iops,
-            "wall_clock_s": ckpt_wall,
-            "wall_overhead_pct": (
-                100.0 * (ckpt_wall - wall) / wall if wall > 0 else None
-            ),
+            runs.append(RunSpec(f"{name}/checkpointed", probe, seed=seed))
+    incomplete = False
+    try:
+        batch = run_many(runs, jobs=jobs, on_progress=on_progress)
+    except ShardsInterrupted as interrupt:
+        batch, incomplete = interrupt.batch, True
+    finally:
+        written = [len(os.listdir(directory)) for directory in probe_dirs]
+        for directory in probe_dirs:
+            shutil.rmtree(directory, ignore_errors=True)
+    step = len(runs) // len(cases)  # the runs of case i: i*step, i*step+1
+    done, errors = [], []
+    for index, (name, ftl, workload, _aging) in enumerate(cases):
+        mine = range(index * step, (index + 1) * step)
+        failed = [batch.names[i] for i in mine if batch.names[i] in batch.errors]
+        if failed:
+            errors.append({"name": name, "error": batch.errors[failed[0]]})
+            continue
+        if any(batch.results[i] is None for i in mine):
+            continue  # the interrupt came before it ran
+        result, wall = batch.results[mine[0]], batch.wall_clock_s[mine[0]]
+        stats = result.stats
+        case = {
+            "name": name,
+            "ftl": ftl,
+            "workload": workload,
+            "requests": size["requests"],
+            "iops": stats.iops,
+            "read_latency": _latency_dict(stats.read_latency),
+            "write_latency": _latency_dict(stats.write_latency),
+            "wall_clock_s": wall,
+            "peak_rss_kb": batch.peak_rss_kb[mine[0]],
+            "counters": stats.to_dict()["counters"],
+            "telemetry": result.telemetry,
         }
-    return case
+        if checkpoint_every is not None:
+            # overhead probe: the same case run *with* checkpointing.
+            # The primary metrics above always come from the
+            # checkpoint-off run, so baselines diff at exactly 0.0 %
+            # regardless of this knob; the sub-dict records what
+            # periodic durability costs.
+            probe_wall = batch.wall_clock_s[mine[1]]
+            case["checkpoint"] = {
+                "every": checkpoint_every,
+                "checkpoints_written": written[index],
+                "iops": batch.results[mine[1]].iops,
+                "wall_clock_s": probe_wall,
+                "wall_overhead_pct": (
+                    100.0 * (probe_wall - wall) / wall if wall > 0 else None
+                ),
+            }
+        done.append(case)
+    return done, errors, incomplete
 
 
 def next_bench_path(directory: str) -> str:
@@ -233,34 +259,17 @@ def run_bench(
     ``"incomplete": true`` so a partial snapshot is never mistaken for a
     full one.
     """
-    from repro.parallel import ShardSpec, ShardsInterrupted, run_shards
-
     size = SIZES["smoke" if smoke else "full"]
     mode = "smoke" if smoke else "full"
-    shards = [
-        ShardSpec(
-            name=name,
-            fn=run_case,
-            kwargs=dict(
-                name=name, ftl=ftl, workload=workload, size=size,
-                seed=seed, aging=aging, checkpoint_every=checkpoint_every,
-            ),
-        )
-        for name, ftl, workload, aging in _cases()
-    ]
 
-    def progress(outcome):
-        status = "done" if outcome.ok else "FAILED"
-        print(f"bench: {outcome.name} ({mode}) {status}", flush=True)
+    def progress(name, ok):
+        status = "done" if ok else "FAILED"
+        print(f"bench: {name} ({mode}) {status}", flush=True)
 
-    incomplete = False
-    try:
-        outcomes = run_shards(shards, jobs=jobs, on_progress=progress)
-    except ShardsInterrupted as interrupt:
-        outcomes = interrupt.outcomes
-        incomplete = True
-    cases = [o.result for o in outcomes if o.ok]
-    errors = [{"name": o.name, "error": o.error} for o in outcomes if not o.ok]
+    cases, errors, incomplete = run_cases(
+        _cases(), size, seed, jobs=jobs, checkpoint_every=checkpoint_every,
+        on_progress=progress,
+    )
     document = {
         "bench_schema_version": BENCH_SCHEMA_VERSION,
         "label": label,
