@@ -30,6 +30,7 @@ from repro.core.wam import Allocation, SequentialCursor
 from repro.faults.counters import RecoveryCounters
 from repro.ftl.blockmgr import (
     DATA_KIND,
+    TRANS_KIND,
     BlockManager,
     BlockState,
     OutOfSpaceError,
@@ -129,11 +130,16 @@ class _ActiveRequest:
 class _GCJob:
     """State of one in-progress garbage collection on a chip."""
 
-    __slots__ = ("victim", "pending", "staged")
+    __slots__ = ("victim", "kind", "pending", "staged")
 
-    def __init__(self, victim: int, pending: List[Tuple[int, int]]) -> None:
+    def __init__(
+        self, victim: int, kind: str, pending: List[Tuple[int, int]]
+    ) -> None:
         self.victim = victim
-        #: (ppn, lpn) pairs still to migrate
+        #: the victim's block kind; it picks the migration step
+        self.kind = kind
+        #: (ppn, key) pairs still to migrate; the key is the page's LPN
+        #: (or, for a translation page, its TVPN)
         self.pending = pending
         #: (lpn, data, old_ppn) triples read out and awaiting program
         self.staged: List[Tuple[int, object, int]] = []
@@ -179,6 +185,10 @@ class BaseFTL:
         self._gc_cursors: Dict[int, Optional[SequentialCursor]] = {
             chip: None for chip in range(geometry.n_chips)
         }
+        #: work waiting for a free block (a redispatch on a chip whose
+        #: active blocks are used up, a deferred translation writeback);
+        #: retried after every erase
+        self._space_waiters: Deque[Callable[[], None]] = deque()
         self._rr_chip = 0
         # SPOR support: every host write carries a monotonic FTL-global
         # sequence number, programmed into the page's OOB area so that
@@ -268,11 +278,18 @@ class BaseFTL:
         """Every mapper whose bijection the deep audit must verify."""
         return {"l2p": self.mapper}
 
+    def kind_mapper(self, kind: str) -> PageMapper:
+        """The mapper accounting the valid pages of blocks of ``kind``
+        (demand-paged variants keep translation pages in their own)."""
+        return self.mapper
+
     def block_valid_count(self, chip_id: int, block: int) -> int:
         """Valid pages a block holds *in the mapper accounting its
         kind* -- the number that must be zero before the block may leave
-        service.  Demand-paged variants dispatch on the block kind."""
-        return self.mapper.valid_count(chip_id, block)
+        service."""
+        return self.kind_mapper(self.blocks.kind_of(chip_id, block)).valid_count(
+            chip_id, block
+        )
 
     def audit_variant(self) -> Optional[dict]:
         """Variant-specific deep-audit hook: return ``None`` when every
@@ -408,38 +425,60 @@ class BaseFTL:
     def _chip_eligible(self, chip_id: int) -> bool:
         if self._inflight_programs[chip_id] >= self.config.max_inflight_programs:
             return False
-        return self._can_allocate(chip_id, for_gc=False)
+        return self._can_allocate(chip_id)
 
-    def _can_allocate(self, chip_id: int, for_gc: bool) -> bool:
-        """Whether a WL can be allocated without starving GC of blocks."""
-        if for_gc:
-            cursor = self._gc_cursors[chip_id]
-            if cursor is not None and not cursor.exhausted:
-                return True
-            return self.blocks.free_count(chip_id) > 0
-        if self.active_cursor_space(chip_id) > 0:
-            return True
-        return self.blocks.free_count(chip_id) > 1
+    def _can_allocate(self, chip_id: int) -> bool:
+        """Whether a host WL can be allocated without taking the block
+        reserved for GC destinations."""
+        return self.active_cursor_space(chip_id) > 0 or self.blocks.can_take(
+            chip_id, for_gc=False
+        )
 
-    def _take_free_block(self, chip_id: int, kind: str = DATA_KIND) -> int:
-        """Draw a free block, wear-aware when configured."""
+    def _take_free_block(self, chip_id: int, kind: str, for_gc: bool) -> int:
+        """Draw a free block, wear-aware when configured; only a GC
+        destination may take the reserved one."""
+        if not self.blocks.can_take(chip_id, for_gc):
+            raise self._out_of_space(chip_id)
         key = None
         if self.config.wear_aware_allocation:
             chip = self.controller.chip(chip_id)
             key = chip.block_pe
-        return self.blocks.take_free(chip_id, key=key, kind=kind)
+        return self.blocks.take_free(chip_id, key=key, kind=kind, for_gc=for_gc)
+
+    def _out_of_space(
+        self, chip_id: int, uncovered: Optional["_GCJob"] = None
+    ) -> OutOfSpaceError:
+        """The error for a chip where no allocation and no GC job can
+        proceed: it names the chip's blocks by state x kind and its GC
+        job -- the one in flight, or an ``uncovered`` one that cannot
+        start."""
+        job = uncovered or self._gc_jobs[chip_id]
+        if job is None:
+            gc = "no GC job in flight"
+        else:
+            gc = (
+                f"GC job on {job.kind} block {job.victim} with "
+                f"{len(job.pending) + len(job.staged)} pages left"
+            )
+        if uncovered is not None:
+            gc += " cannot start: its destination is not covered"
+        return OutOfSpaceError(
+            f"chip {chip_id} is out of space: {self.blocks.describe(chip_id)}; "
+            f"{gc}"
+        )
 
     def _ensure_active_blocks(self, chip_id: int) -> None:
-        """Top up the chip's active blocks from the free pool."""
+        """Top up the chip's active blocks from the free pool (never
+        the block reserved for GC destinations)."""
         while (
             self.cursor_count(chip_id) < self.config.active_blocks_per_chip
-            and self.blocks.free_count(chip_id) > 1
+            and self.blocks.can_take(chip_id, for_gc=False)
         ):
-            self.install_block(chip_id, self._take_free_block(chip_id))
+            self.install_block(
+                chip_id, self._take_free_block(chip_id, DATA_KIND, for_gc=False)
+            )
         if self.cursor_count(chip_id) == 0:
-            if self.blocks.free_count(chip_id) == 0:
-                raise OutOfSpaceError(f"chip {chip_id}: no active block available")
-            self.install_block(chip_id, self._take_free_block(chip_id))
+            raise self._out_of_space(chip_id)
 
     def _dispatch_group(self, chip_id: int) -> None:
         entries = self.buffer.pop_group(self.geometry.block.pages_per_wl)
@@ -451,7 +490,7 @@ class BaseFTL:
         """Allocate a WL from the chip's dedicated GC block."""
         cursor = self._gc_cursors[chip_id]
         if cursor is None or cursor.exhausted:
-            block = self._take_free_block(chip_id)
+            block = self._take_free_block(chip_id, DATA_KIND, for_gc=True)
             cursor = SequentialCursor(block, self.geometry.block)
             self._gc_cursors[chip_id] = cursor
         return cursor.take()
@@ -634,10 +673,7 @@ class BaseFTL:
             # a sibling in-flight program on this block reported FAIL
             # while ours was executing; the block is leaving service, so
             # its pages must not be mapped -- rewrite on a fresh WL
-            if is_gc:
-                self._program_entries(chip_id, [], is_gc=True, gc_payload=gc_payload)
-            else:
-                self._program_entries(chip_id, entries, is_gc=False)
+            self._redispatch(chip_id, entries, is_gc, gc_payload)
             return
 
         ok = self.after_program(chip_id, allocation, result, squeeze_mv)
@@ -645,10 +681,7 @@ class BaseFTL:
             # Section 4.1.4: improperly programmed -- re-program the same
             # data on the next WL with default (monitoring) parameters
             self.counters.reprograms += 1
-            if is_gc:
-                self._program_entries(chip_id, [], is_gc=True, gc_payload=gc_payload)
-            else:
-                self._program_entries(chip_id, entries, is_gc=False)
+            self._redispatch(chip_id, entries, is_gc, gc_payload)
             return
 
         if is_gc:
@@ -682,11 +715,28 @@ class BaseFTL:
         self._inflight_programs[chip_id] -= 1
         self.recovery.program_fails += 1
         self.note_program_fail(chip_id, allocation.block)
+        self._redispatch(chip_id, entries, is_gc, gc_payload)
+        self._maybe_gc(chip_id)
+
+    def _redispatch(
+        self,
+        chip_id: int,
+        entries: List[BufferEntry],
+        is_gc: bool,
+        gc_payload: Optional[List[Tuple[int, object, int]]],
+    ) -> None:
+        """Program the data of a failed or unsafe program again on a
+        fresh WL of the same chip.  Host data never takes the reserved
+        block: with the chip's active blocks used up it waits for the
+        next erase."""
         if is_gc:
             self._program_entries(chip_id, [], is_gc=True, gc_payload=gc_payload)
-        else:
+        elif self._can_allocate(chip_id):
             self._program_entries(chip_id, entries, is_gc=False)
-        self._maybe_gc(chip_id)
+        else:
+            self._space_waiters.append(
+                lambda: self._redispatch(chip_id, entries, False, None)
+            )
 
     def note_program_fail(self, chip_id: int, block: int) -> None:
         """Route a failed block toward retirement: drop its allocation
@@ -1028,31 +1078,50 @@ class BaseFTL:
     # ------------------------------------------------------------------
 
     def _maybe_gc(self, chip_id: int) -> None:
+        """Start a GC job on the chip when it has none and a victim is
+        due; the job starts only once its destination is covered."""
         if self._gc_jobs[chip_id] is not None:
             return
-        free = self.blocks.free_count(chip_id)
+        victim = self._gc_victim(chip_id)
+        if victim is None:
+            return
+        kind = self.blocks.kind_of(chip_id, victim)
+        job = _GCJob(
+            victim, kind, self.kind_mapper(kind).valid_pages_of_block(chip_id, victim)
+        )
+        if not self.blocks.gc_covered(chip_id, *self._gc_space(chip_id, job)):
+            # the pool is empty and the destination cursor is short: the
+            # job would run dry mid-way
+            raise self._out_of_space(chip_id, uncovered=job)
+        self._gc_jobs[chip_id] = job
+        self._gc_continue(chip_id)
+
+    def _gc_victim(self, chip_id: int) -> Optional[int]:
+        """The block GC should collect next, or ``None``: a failing data
+        block, or the greedy data victim once the pool shrinks below
+        ``gc_trigger_blocks``."""
+        blocks = self.blocks
         if (
-            free >= self.config.gc_trigger_blocks
-            and not self.blocks.failing_of_kind(chip_id, DATA_KIND)
+            blocks.free_count(chip_id) >= self.config.gc_trigger_blocks
+            and not blocks.failing_of_kind(chip_id, DATA_KIND)
         ):
-            return
-        # data GC only: translation blocks are accounted in a different
-        # mapper, so a demand-paged FTL reclaims them through its own
-        # translation-GC state machine
-        full = self.blocks.full_blocks(chip_id, kind=DATA_KIND)
-        if not full:
-            return
-        victim = self.blocks.select_victim(chip_id, self.mapper, kind=DATA_KIND)
-        if not self.blocks.is_failing(chip_id, victim):
+            return None
+        if not blocks.full_blocks(chip_id, kind=DATA_KIND):
+            return None
+        victim = blocks.select_victim(chip_id, self.mapper, kind=DATA_KIND)
+        if not blocks.is_failing(chip_id, victim):
             pages_per_block = self.geometry.block.pages_per_block
             invalid = pages_per_block - self.mapper.valid_count(chip_id, victim)
             min_invalid = int(pages_per_block * self.config.gc_min_invalid_fraction)
             # migrating a nearly-full-valid block reclaims almost nothing
             # while consuming a free block for the migrated copies; wait for
             # the host to invalidate more pages first -- unless the pool is
-            # critical (failing victims skip this: they must leave service)
-            if invalid < max(1, min_invalid) and free > 1:
-                return
+            # down to its reserve (failing victims skip this: they must
+            # leave service)
+            if invalid < max(1, min_invalid) and blocks.can_take(
+                chip_id, for_gc=False
+            ):
+                return None
             # the migration's final partial WL is padded with dead pages;
             # unless the victim's invalid count exceeds that padding the
             # move reclaims nothing net, and with no host writes arriving
@@ -1061,23 +1130,36 @@ class BaseFTL:
             valid = pages_per_block - invalid
             waste = (-valid) % self.geometry.block.pages_per_wl
             if invalid <= waste:
-                return
-        job = _GCJob(victim, self.mapper.valid_pages_of_block(chip_id, victim))
-        self._gc_jobs[chip_id] = job
-        self._gc_continue(chip_id)
+                return None
+        return victim
+
+    def _gc_space(self, chip_id: int, job: _GCJob) -> Tuple[int, int]:
+        """(free WLs of the job's destination cursor, WLs its live pages
+        need): data moves ``pages_per_wl`` pages per WL into the chip's
+        GC block."""
+        cursor = self._gc_cursors[chip_id]
+        needed = -(-len(job.pending) // self.geometry.block.pages_per_wl)
+        return (0 if cursor is None else cursor.free_wls()), needed
 
     def _gc_continue(self, chip_id: int) -> None:
-        """Advance the chip's GC state machine by one batch."""
+        """Advance the chip's GC state machine by one step; once every
+        live page has moved, erase the victim."""
         job = self._gc_jobs[chip_id]
         if job is None:
             return
+        if not self._gc_migrate(chip_id, job):
+            self._gc_erase(chip_id, job)
+
+    def _gc_migrate(self, chip_id: int, job: _GCJob) -> bool:
+        """Issue the job's next migration step, or return False when
+        nothing is left to move.  Data moves in batches of one WL: read
+        the batch, then program it into the GC block."""
         if job.staged:
             payload, job.staged = job.staged, []
             self._program_entries(chip_id, [], is_gc=True, gc_payload=payload)
-            return
+            return True
         if not job.pending:
-            self._gc_erase(chip_id, job)
-            return
+            return False
         batch_size = min(self.geometry.block.pages_per_wl, len(job.pending))
         batch, job.pending = job.pending[:batch_size], job.pending[batch_size:]
         outstanding = {"count": len(batch)}
@@ -1094,6 +1176,7 @@ class BaseFTL:
         for ppn, lpn in batch:
             _chip, address = self.geometry.ppn_to_address(ppn)
             self._flash_read(chip_id, address, is_gc=True, on_data=make_on_data(ppn, lpn))
+        return True
 
     def _gc_erase(self, chip_id: int, job: _GCJob) -> None:
         victim = job.victim
@@ -1123,7 +1206,7 @@ class BaseFTL:
                     None, None, "erase", end - t_us, end, chip=chip_id,
                     block=victim, outcome=outcome,
                 )
-            self.mapper.clear_block(chip_id, victim)
+            self.kind_mapper(job.kind).clear_block(chip_id, victim)
             if outcome == "erased":
                 self.counters.erases += 1
                 self.blocks.mark_free(chip_id, victim)
@@ -1137,6 +1220,9 @@ class BaseFTL:
                 self.blocks.retire(chip_id, victim, reason=outcome)
             self.on_block_erased(chip_id, victim)
             self._gc_jobs[chip_id] = None
+            waiters, self._space_waiters = self._space_waiters, deque()
+            for retry in waiters:
+                retry()
             self._maybe_gc(chip_id)
             self._drain_pending_writes()
             self._maybe_flush()
@@ -1191,6 +1277,11 @@ class BaseFTL:
         if active_gc:
             raise RuntimeError(
                 f"FTL not quiescent: GC active on chips {active_gc}"
+            )
+        if self._space_waiters:
+            raise RuntimeError(
+                f"FTL not quiescent: {len(self._space_waiters)} operations "
+                "waiting for a free block"
             )
         return {
             "mapper": self.mapper.state_dict(),
@@ -1261,25 +1352,29 @@ class BaseFTL:
           status is rediscovered operationally: a bad block's next erase
           fails again and re-retires it;
         - cursors, buffer, and monitored parameters restart empty, and
-          the write sequence resumes above the highest recovered value.
+          the write sequence resumes above the highest recovered value;
+        - translation-page records (``lpn < 0`` encodes TVPN
+          ``-lpn - 1``) win by the same rule, mark their block
+          ``"trans"``, and go to :meth:`_spor_translation`.
 
         Returns a summary dict (``oob_records``, ``mapped_lpns``,
-        ``full_blocks``, ``max_seq``).
+        ``full_blocks``, ``max_seq``, plus the variant's keys).
         """
         if not self._store_oob:
             raise RuntimeError("SPOR recovery requires store_oob=True")
-        if self.mapper.mapped_lpn_count():
+        if any(mapper.mapped_lpn_count() for mapper in self.mappers().values()):
             raise RuntimeError("spor_recover requires a freshly built FTL")
         geometry = self.geometry
-        winners: Dict[int, Tuple[int, int]] = {}  # lpn -> (seq, ppn)
-        records = 0
-        max_seq = 0
+        winners: Dict[int, Tuple[int, int]] = {}  # OOB lpn -> (seq, ppn)
+        trans_blocks = set()
+        records = trans_records = 0
         for chip_id in range(geometry.n_chips):
             chip = self.controller.chip(chip_id)
             for (block, wl_index, page), (lpn, seq) in chip.iter_oob():
                 records += 1
-                if seq > max_seq:
-                    max_seq = seq
+                if lpn < 0:
+                    trans_records += 1
+                    trans_blocks.add((chip_id, block))
                 address = geometry.block.wl_from_index(wl_index)
                 ppn = geometry.ppn(
                     chip_id,
@@ -1288,37 +1383,59 @@ class BaseFTL:
                 best = winners.get(lpn)
                 if best is None or (seq, -ppn) > (best[0], -best[1]):
                     winners[lpn] = (seq, ppn)
-        for lpn in sorted(winners):
-            self.mapper.bind(lpn, winners[lpn][1])
+        data = {lpn: best for lpn, best in winners.items() if lpn >= 0}
+        for lpn in sorted(data):
+            self.mapper.bind(lpn, data[lpn][1])
         free: Dict[int, List[int]] = {}
         states: Dict[int, List[str]] = {}
+        kinds: Dict[int, List[str]] = {}
         full_blocks = 0
         for chip_id in range(geometry.n_chips):
             chip = self.controller.chip(chip_id)
-            chip_states: List[str] = []
-            chip_free: List[int] = []
+            states[chip_id] = []
+            free[chip_id] = []
+            kinds[chip_id] = []
             for block in range(geometry.blocks_per_chip):
                 if chip.programmed_wl_count(block) > 0:
-                    chip_states.append(BlockState.FULL.value)
+                    states[chip_id].append(BlockState.FULL.value)
                     full_blocks += 1
                 else:
-                    chip_states.append(BlockState.FREE.value)
-                    chip_free.append(block)
-            states[chip_id] = chip_states
-            free[chip_id] = chip_free
+                    states[chip_id].append(BlockState.FREE.value)
+                    free[chip_id].append(block)
+                trans = (chip_id, block) in trans_blocks
+                kinds[chip_id].append(TRANS_KIND if trans else DATA_KIND)
         self.blocks.load_state_dict(
             {
                 "free": free,
                 "state": states,
                 "failing": {chip: [] for chip in free},
                 "retired_reasons": {chip: {} for chip in free},
+                "kind": kinds,
             }
         )
         self._post_spor_reset()
-        self._write_seq = max_seq
-        return {
+        self._write_seq = max((seq for seq, _ppn in data.values()), default=0)
+        summary = {
             "oob_records": records,
-            "mapped_lpns": len(winners),
+            "mapped_lpns": len(data),
             "full_blocks": full_blocks,
-            "max_seq": max_seq,
+            "max_seq": self._write_seq,
         }
+        summary.update(
+            self._spor_translation(
+                {-lpn - 1: best for lpn, best in winners.items() if lpn < 0},
+                trans_records,
+            )
+        )
+        return summary
+
+    def _spor_translation(
+        self, winners: Dict[int, Tuple[int, int]], records: int
+    ) -> dict:
+        """Finish SPOR from the winning translation-page records (TVPN
+        -> ``(seq, ppn)``, out of ``records`` scanned) once the L2P and
+        block states are rebuilt; returns extra summary keys.  RAM-table
+        FTLs write none."""
+        if records:
+            raise RuntimeError(f"{self.name} found translation-page OOB records")
+        return {}

@@ -1,5 +1,6 @@
-"""Per-chip block lifecycle: free pool, active blocks, full blocks,
-failing blocks, GC victim selection, and the grown-bad-block table."""
+"""Per-chip block lifecycle: free pool and its GC reserve, active
+blocks, full blocks, failing blocks, GC victim selection, and the
+grown-bad-block table."""
 
 from __future__ import annotations
 
@@ -109,6 +110,11 @@ class _FreePool:
 DATA_KIND = "data"
 TRANS_KIND = "trans"
 
+#: free blocks per chip that only a GC destination may take.  Host
+#: active blocks and translation writebacks stop above it, so a GC job
+#: that needs a fresh destination block always finds one.
+GC_RESERVE_BLOCKS = 1
+
 
 class BlockManager:
     """Tracks every block's lifecycle state per chip.
@@ -121,6 +127,11 @@ class BlockManager:
       hold valid data, so they are migrated before being retired;
     - the **grown-bad table**: retired blocks with the reason they left
       service (``"wear"``, ``"erase_fail"``, ``"program_fail"``).
+
+    It also owns the one rule for a chip's last free blocks: the
+    **reserve** (:data:`GC_RESERVE_BLOCKS`) goes only to GC
+    destinations (:meth:`can_take`), and a GC job starts only once its
+    destination is covered (:meth:`gc_covered`).
 
     Blocks additionally carry an explicit **kind** (``"data"`` vs
     ``"trans"``): demand-paged FTLs keep translation pages in dedicated
@@ -157,23 +168,55 @@ class BlockManager:
     def free_count(self, chip_id: int) -> int:
         return len(self._free[chip_id])
 
+    def can_take(self, chip_id: int, for_gc: bool) -> bool:
+        """Whether a free block may be taken now: a GC destination may
+        take the reserved block, host active blocks and translation
+        writebacks may not."""
+        return len(self._free[chip_id]) > (0 if for_gc else GC_RESERVE_BLOCKS)
+
+    def gc_covered(self, chip_id: int, dest_wls: int, needed_wls: int) -> bool:
+        """Whether a GC job may start: the free WLs of its destination
+        cursor plus the reserved block cover the WLs its victim's live
+        pages need, so the job can never run dry mid-way."""
+        if self._free[chip_id]:
+            dest_wls += self.geometry.block.wls_per_block
+        return dest_wls >= needed_wls
+
+    def describe(self, chip_id: int) -> str:
+        """The chip's block counts by state x kind (free blocks are
+        kindless), e.g. ``free=1 full/data=12 full/trans=2``."""
+        counts = {"free": 0}
+        kinds = self._kind[chip_id]
+        for block, state in enumerate(self._state[chip_id]):
+            label = (
+                "free" if state is BlockState.FREE
+                else f"{state.value}/{kinds[block]}"
+            )
+            counts[label] = counts.get(label, 0) + 1
+        return " ".join(f"{label}={n}" for label, n in sorted(counts.items()))
+
     def take_free(
         self,
         chip_id: int,
         key: Optional[Callable[[int], int]] = None,
         kind: str = DATA_KIND,
+        for_gc: bool = True,
     ) -> int:
         """Pop a free block and mark it active with the given ``kind``.
 
         Without ``key`` blocks recycle FIFO; with a ``key`` (e.g. the
         erase count, for dynamic wear leveling) the free block minimizing
-        it is chosen, oldest first on ties.
+        it is chosen, oldest first on ties.  Only a GC destination
+        (``for_gc``) may take the reserved block (:meth:`can_take`).
         """
         if kind not in (DATA_KIND, TRANS_KIND):
             raise ValueError(f"unknown block kind {kind!r}")
+        if not self.can_take(chip_id, for_gc):
+            raise OutOfSpaceError(
+                f"chip {chip_id} has no free block to take: "
+                f"{self.describe(chip_id)}"
+            )
         free = self._free[chip_id]
-        if not free:
-            raise OutOfSpaceError(f"chip {chip_id} has no free blocks")
         if key is None:
             block = free.take_fifo()
         else:

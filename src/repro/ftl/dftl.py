@@ -22,7 +22,9 @@ allocation policy:
   every co-resident dirty entry of the same TVPN clean (batched
   writeback);
 - translation blocks fill up with superseded pages and are reclaimed
-  by a dedicated **translation GC** state machine.
+  by the base GC state machine: once the FULL translation blocks' live
+  pages would fit in fewer blocks, the emptiest one becomes the chip's
+  GC victim, and its pages move by copyback, one WL each.
 
 The *authoritative* L2P state is :attr:`~repro.ftl.base.BaseFTL.mapper`
 (the union of CMT and flash-resident entries a real controller can
@@ -39,15 +41,16 @@ metamorphic suite in ``tests/ftl/test_dftl_properties.py`` enforces.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.wam import Allocation, SequentialCursor
-from repro.ftl.blockmgr import DATA_KIND, TRANS_KIND, OutOfSpaceError
+from repro.ftl.base import _GCJob
+from repro.ftl.blockmgr import DATA_KIND, TRANS_KIND, BlockState, OutOfSpaceError
 from repro.ftl.mapping import UNMAPPED, PageMapper
 from repro.ftl.pageftl import PageFTL
-from repro.nand.errors import EraseFailError, ProgramFailError, WearOutError
+from repro.nand.errors import ProgramFailError
 from repro.nand.geometry import PageAddress
 from repro.nand.read_retry import ReadParams
 from repro.ssd.config import SSDConfig
@@ -75,17 +78,6 @@ class DftlStats:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-class _TransGCJob:
-    """State of one in-progress translation-block collection."""
-
-    __slots__ = ("victim", "pending")
-
-    def __init__(self, victim: int, pending: List[Tuple[int, int]]) -> None:
-        self.victim = victim
-        #: (ppn, tvpn) pairs still to migrate
-        self.pending = pending
 
 
 class DFTL(PageFTL):
@@ -118,15 +110,10 @@ class DFTL(PageFTL):
         self._trans_cursors: Dict[int, Optional[SequentialCursor]] = {
             chip: None for chip in range(config.geometry.n_chips)
         }
-        self._trans_gc: Dict[int, Optional[_TransGCJob]] = {
-            chip: None for chip in range(config.geometry.n_chips)
-        }
         #: TVPN -> writebacks not yet landed (covers the audit window
         #: between a dirty eviction and its translation-page bind)
         self._inflight_trans: Dict[int, int] = {}
         self._inflight_trans_programs = 0
-        #: translation work waiting for a free WL (retried after erases)
-        self._trans_pending: Deque[Callable[[], None]] = deque()
         #: TVPNs with a *deferred* writeback queued; later writebacks of
         #: the same TVPN coalesce onto it (the page is rebuilt from the
         #: authoritative table when the program finally issues, so one
@@ -159,10 +146,8 @@ class DFTL(PageFTL):
     def mappers(self) -> Dict[str, PageMapper]:
         return {"l2p": self.mapper, "translation": self.tmapper}
 
-    def block_valid_count(self, chip_id: int, block: int) -> int:
-        if self.blocks.kind_of(chip_id, block) == TRANS_KIND:
-            return self.tmapper.valid_count(chip_id, block)
-        return self.mapper.valid_count(chip_id, block)
+    def kind_mapper(self, kind: str) -> PageMapper:
+        return self.tmapper if kind == TRANS_KIND else self.mapper
 
     def audit_variant(self) -> Optional[dict]:
         """DFTL deep invariants.
@@ -442,7 +427,7 @@ class DFTL(PageFTL):
                     self._deferred_wb.discard(tvpn)
                     self._issue_writeback(chip_id, tvpn)
 
-                self._trans_pending.append(retry)
+                self._space_waiters.append(retry)
             self._maybe_gc(chip_id)
             return
         old_ppn = self.tmapper.lookup(tvpn)
@@ -461,20 +446,31 @@ class DFTL(PageFTL):
             attempts_left=0, use_bus=True,
         )
 
-    def _program_tpage(
-        self, chip_id: int, allocation: Allocation, tvpn: int
-    ) -> None:
-        """Program one translation page (page 0 of a WL, padded) and
-        bind it in the GTD when it lands."""
-        pages_per_wl = self.geometry.block.pages_per_wl
+    def _tpage_payload(self, tvpn: int) -> Tuple[list, Optional[list]]:
+        """Content and OOB of a fresh copy of a translation page: a
+        marker in page 0, the rest of the WL padded."""
+        pad = [None] * (self.geometry.block.pages_per_wl - 1)
         self._trans_seq += 1
-        seq = self._trans_seq
-        data: List[Optional[object]] = [("tpage", tvpn, seq)]
-        data += [None] * (pages_per_wl - 1)
-        oob = None
-        if self._store_oob:
-            oob = [(-(tvpn + 1), seq)]
-            oob += [None] * (pages_per_wl - 1)
+        data = [("tpage", tvpn, self._trans_seq)] + pad
+        oob = [(-(tvpn + 1), self._trans_seq)] + pad if self._store_oob else None
+        return data, oob
+
+    def _program_tpage(
+        self,
+        chip_id: int,
+        allocation: Allocation,
+        tvpn: int,
+        old_ppn: Optional[int] = None,
+    ) -> None:
+        """Program one translation page (page 0 of a WL, padded).
+
+        A writeback (``old_ppn`` None) crosses the channel and binds in
+        the GTD when it lands.  A GC migration of the copy at
+        ``old_ppn`` stays on-chip (copyback style, like data GC), binds
+        only if no writeback superseded that copy meanwhile, and then
+        advances the chip's GC job."""
+        is_gc = old_ppn is not None
+        data, oob = self._tpage_payload(tvpn)
         self._inflight_trans_programs += 1
 
         def job():
@@ -492,70 +488,82 @@ class DFTL(PageFTL):
                 return fail.t_us, None
             return result.t_prog_us, result
 
+        def retry() -> None:
+            if is_gc:
+                self._migrate_tpage(chip_id, tvpn, old_ppn)
+            else:
+                self._issue_writeback(chip_id, tvpn)
+
         def on_done(result) -> None:
             self._inflight_trans_programs -= 1
             if result is None:
                 self.dftl_stats.trans_program_fails += 1
                 self.note_program_fail(chip_id, allocation.block)
-                self._issue_writeback(chip_id, tvpn)
+                retry()
                 self._maybe_gc(chip_id)
                 return
             if self.blocks.is_failing(chip_id, allocation.block):
                 # a sibling program on this block failed while ours was
                 # in flight; the block is leaving service
-                self._issue_writeback(chip_id, tvpn)
+                retry()
                 return
-            self.dftl_stats.trans_programs += 1
             ppn = self.geometry.wl_ppn(
                 chip_id,
                 allocation.block,
                 allocation.address.layer,
                 allocation.address.wl,
             )
-            self.tmapper.bind(tvpn, ppn)
-            self._unmark_inflight(tvpn)
+            if is_gc:
+                self.dftl_stats.trans_gc_programs += 1
+                if self.tmapper.lookup(tvpn) == old_ppn:
+                    self.tmapper.bind(tvpn, ppn)
+            else:
+                self.dftl_stats.trans_programs += 1
+                self.tmapper.bind(tvpn, ppn)
+                self._unmark_inflight(tvpn)
             self._maybe_mark_full(chip_id, allocation.block)
-            self._maybe_gc(chip_id)
+            if is_gc:
+                self._gc_continue(chip_id)
+            else:
+                self._maybe_gc(chip_id)
 
+        def submit(_ignored=None) -> None:
+            self.controller.chip_resource(chip_id).submit(job, on_done)
+
+        if is_gc:
+            submit()
+            return
         transfer = self.config.timing.transfer_us(
             self.geometry.block.page_size_bytes
         )
-        bus = self.controller.bus_resource(chip_id)
-        bus.submit(
-            lambda: (transfer, None),
-            lambda _ignored: self.controller.chip_resource(chip_id).submit(
-                job, on_done
-            ),
+        self.controller.bus_resource(chip_id).submit(
+            lambda: (transfer, None), submit
         )
 
     def _trans_allocate(
         self, chip_id: int, for_gc: bool = False
     ) -> Optional[Allocation]:
-        """A WL in the chip's translation block, or ``None`` when taking
-        a block now would drain the pool GC needs (the caller defers).
-
-        Writebacks leave the last free block for GC; a translation-GC
-        migration may take it (same rule as data GC: the erase it leads
-        to frees a whole block right back) -- unless a data-GC job is
-        mid-flight on this chip, in which case that last block is spoken
-        for (base ``_gc_allocate`` takes it unconditionally)."""
+        """A WL in the chip's translation block, or ``None`` when a
+        writeback must wait for an erase: a fresh block would be the
+        reserved one, or the WL is one a translation GC job (whose
+        destination is this block too) still needs to stay covered."""
         cursor = self._trans_cursors[chip_id]
         if cursor is None or cursor.exhausted:
-            if for_gc:
-                reserve = 1 if self._gc_jobs[chip_id] is not None else 0
-            else:
-                reserve = 1
-            if self.blocks.free_count(chip_id) <= reserve:
+            if not for_gc and not self.blocks.can_take(chip_id, for_gc=False):
                 return None
-            block = self._take_free_block(chip_id, kind=TRANS_KIND)
+            block = self._take_free_block(chip_id, TRANS_KIND, for_gc)
             cursor = SequentialCursor(block, self.geometry.block)
             self._trans_cursors[chip_id] = cursor
+        elif not for_gc:
+            job = self._gc_jobs[chip_id]
+            # + 1: the page being read out has left ``pending`` already
+            if job is not None and job.kind == TRANS_KIND and not (
+                self.blocks.gc_covered(
+                    chip_id, cursor.free_wls() - 1, len(job.pending) + 1
+                )
+            ):
+                return None
         return cursor.take()
-
-    def _drain_trans_pending(self) -> None:
-        pending, self._trans_pending = self._trans_pending, deque()
-        for thunk in pending:
-            thunk()
 
     def discard_block(self, chip_id: int, block: int) -> None:
         super().discard_block(chip_id, block)
@@ -565,48 +573,56 @@ class DFTL(PageFTL):
 
     def on_block_erased(self, chip_id: int, block: int) -> None:
         super().on_block_erased(chip_id, block)
-        self._drain_trans_pending()
+        # called while the GC job that erased the block is still set
+        job = self._gc_jobs[chip_id]
+        if job.kind == TRANS_KIND and (
+            self.blocks.state(chip_id, block) is BlockState.FREE
+        ):
+            self.dftl_stats.trans_gc_erases += 1
 
     # ------------------------------------------------------------------
-    # translation-block garbage collection
+    # translation-block garbage collection (base state machine hooks)
     # ------------------------------------------------------------------
 
-    def _maybe_gc(self, chip_id: int) -> None:
-        self._maybe_trans_gc(chip_id)
-        if self.blocks.free_count(chip_id) == 0:
-            # translation GC holds the pool's last block; starting a
-            # data-GC job now would have no block to migrate into.  The
-            # pending translation erase calls back in here.
-            return
-        super()._maybe_gc(chip_id)
-
-    def _maybe_trans_gc(self, chip_id: int) -> None:
-        if self._trans_gc[chip_id] is not None:
-            return
-        free = self.blocks.free_count(chip_id)
-        failing = self.blocks.failing_of_kind(chip_id, TRANS_KIND)
-        if free >= self.config.gc_trigger_blocks and not failing:
-            return
-        full = self.blocks.full_blocks(chip_id, kind=TRANS_KIND)
+    def _gc_victim(self, chip_id: int) -> Optional[int]:
+        """The emptiest translation block when it is failing or the
+        FULL translation blocks' live pages would fit in fewer blocks.
+        Otherwise the data victim -- except under pool pressure, where
+        the translation block wins if it needs fewer WLs moved."""
+        blocks = self.blocks
+        full = blocks.full_blocks(chip_id, kind=TRANS_KIND)
         if not full:
-            return
-        victim = self.blocks.select_victim(chip_id, self.tmapper, kind=TRANS_KIND)
-        if not self.blocks.is_failing(chip_id, victim):
-            # each migrated translation page consumes a whole WL, so a
-            # victim keeping >= wls_per_block live pages reclaims nothing
-            valid = self.tmapper.valid_count(chip_id, victim)
-            if valid >= self.geometry.block.wls_per_block and free > 1:
-                return
-        job = _TransGCJob(
-            victim, self.tmapper.valid_pages_of_block(chip_id, victim)
+            return super()._gc_victim(chip_id)
+        geometry = self.geometry.block
+        victim = blocks.select_victim(chip_id, self.tmapper, kind=TRANS_KIND)
+        live = sum(self.tmapper.valid_count(chip_id, block) for block in full)
+        if (
+            blocks.is_failing(chip_id, victim)
+            or live <= (len(full) - 1) * geometry.wls_per_block
+        ):
+            return victim
+        data_victim = super()._gc_victim(chip_id)
+        if blocks.free_count(chip_id) >= self.config.gc_trigger_blocks:
+            return data_victim
+        # one translation page per WL versus pages_per_wl data pages
+        trans_wls = self.tmapper.valid_count(chip_id, victim)
+        if data_victim is None:
+            return victim if trans_wls < geometry.wls_per_block else None
+        data_wls = -(
+            -self.mapper.valid_count(chip_id, data_victim) // geometry.pages_per_wl
         )
-        self._trans_gc[chip_id] = job
-        self._trans_gc_continue(chip_id)
+        return victim if trans_wls < data_wls else data_victim
 
-    def _trans_gc_continue(self, chip_id: int) -> None:
-        job = self._trans_gc[chip_id]
-        if job is None:
-            return
+    def _gc_space(self, chip_id: int, job: _GCJob) -> Tuple[int, int]:
+        if job.kind != TRANS_KIND:
+            return super()._gc_space(chip_id, job)
+        # one translation page per WL, into the chip's translation block
+        cursor = self._trans_cursors[chip_id]
+        return (0 if cursor is None else cursor.free_wls()), len(job.pending)
+
+    def _gc_migrate(self, chip_id: int, job: _GCJob) -> bool:
+        if job.kind != TRANS_KIND:
+            return super()._gc_migrate(chip_id, job)
         while job.pending:
             ppn, tvpn = job.pending.pop(0)
             if self.tmapper.lookup(tvpn) != ppn:
@@ -623,108 +639,15 @@ class DFTL(PageFTL):
             self._trans_flash_read(
                 chip_id, address, on_read, attempts_left=0, use_bus=False
             )
-            return
-        self._trans_gc_erase(chip_id, job)
+            return True
+        return False
 
     def _migrate_tpage(self, chip_id: int, tvpn: int, old_ppn: int) -> None:
         if self.tmapper.lookup(tvpn) != old_ppn:
-            self._trans_gc_continue(chip_id)
+            self._gc_continue(chip_id)
             return
         allocation = self._trans_allocate(chip_id, for_gc=True)
-        if allocation is None:
-            self._trans_pending.append(
-                lambda: self._migrate_tpage(chip_id, tvpn, old_ppn)
-            )
-            super()._maybe_gc(chip_id)
-            return
-        pages_per_wl = self.geometry.block.pages_per_wl
-        self._trans_seq += 1
-        seq = self._trans_seq
-        data: List[Optional[object]] = [("tpage", tvpn, seq)]
-        data += [None] * (pages_per_wl - 1)
-        oob = None
-        if self._store_oob:
-            oob = [(-(tvpn + 1), seq)]
-            oob += [None] * (pages_per_wl - 1)
-        self._inflight_trans_programs += 1
-
-        def job():
-            params, _squeeze = self.program_params(chip_id, allocation)
-            try:
-                result = self.controller.chip(chip_id).program_wl(
-                    allocation.block,
-                    allocation.address.layer,
-                    allocation.address.wl,
-                    params=params,
-                    data=data,
-                    oob=oob,
-                )
-            except ProgramFailError as fail:
-                return fail.t_us, None
-            return result.t_prog_us, result
-
-        def on_done(result) -> None:
-            self._inflight_trans_programs -= 1
-            if result is None:
-                self.dftl_stats.trans_program_fails += 1
-                self.note_program_fail(chip_id, allocation.block)
-                self._migrate_tpage(chip_id, tvpn, old_ppn)
-                self._maybe_gc(chip_id)
-                return
-            if self.blocks.is_failing(chip_id, allocation.block):
-                self._migrate_tpage(chip_id, tvpn, old_ppn)
-                return
-            self.dftl_stats.trans_gc_programs += 1
-            if self.tmapper.lookup(tvpn) == old_ppn:
-                ppn = self.geometry.wl_ppn(
-                    chip_id,
-                    allocation.block,
-                    allocation.address.layer,
-                    allocation.address.wl,
-                )
-                self.tmapper.bind(tvpn, ppn)
-            self._maybe_mark_full(chip_id, allocation.block)
-            self._trans_gc_continue(chip_id)
-
-        # migrations stay on-chip (copyback style), like data GC
-        self.controller.chip_resource(chip_id).submit(job, on_done)
-
-    def _trans_gc_erase(self, chip_id: int, job: _TransGCJob) -> None:
-        victim = job.victim
-        failing = self.blocks.is_failing(chip_id, victim)
-
-        def erase_job():
-            if failing:
-                return 0.0, ("program_fail", 0.0)
-            try:
-                t_erase = self.controller.chip(chip_id).erase_block(victim)
-                return t_erase, ("erased", t_erase)
-            except WearOutError:
-                return 0.0, ("wear", 0.0)
-            except EraseFailError as fail:
-                return fail.t_us, ("erase_fail", fail.t_us)
-
-        def on_done(payload) -> None:
-            outcome, _t_us = payload
-            self.tmapper.clear_block(chip_id, victim)
-            if outcome == "erased":
-                self.counters.erases += 1
-                self.dftl_stats.trans_gc_erases += 1
-                self.blocks.mark_free(chip_id, victim)
-            else:
-                if outcome == "erase_fail":
-                    self.recovery.erase_fails += 1
-                if outcome != "wear":
-                    self.recovery.blocks_retired += 1
-                self.counters.retired_blocks += 1
-                self.blocks.retire(chip_id, victim, reason=outcome)
-            self.on_block_erased(chip_id, victim)
-            self._trans_gc[chip_id] = None
-            self._maybe_gc(chip_id)
-            self._drain_pending_writes()
-            self._maybe_flush()
-
-        self.controller.chip_resource(chip_id).submit(erase_job, on_done)
+        self._program_tpage(chip_id, allocation, tvpn, old_ppn)
 
     # ------------------------------------------------------------------
     # prefill
@@ -743,7 +666,6 @@ class DFTL(PageFTL):
         """Synchronous, zero-time translation-page program (prefill and
         SPOR rebuild); retries program failures on fresh WLs."""
         geometry = self.geometry
-        pages_per_wl = geometry.block.pages_per_wl
         n_chips = geometry.n_chips
         home = self._home_chip(tvpn)
         while True:
@@ -758,14 +680,7 @@ class DFTL(PageFTL):
                 raise OutOfSpaceError(
                     f"no free WL for translation page {tvpn}"
                 )
-            self._trans_seq += 1
-            seq = self._trans_seq
-            data: List[Optional[object]] = [("tpage", tvpn, seq)]
-            data += [None] * (pages_per_wl - 1)
-            oob = None
-            if self._store_oob:
-                oob = [(-(tvpn + 1), seq)]
-                oob += [None] * (pages_per_wl - 1)
+            data, oob = self._tpage_payload(tvpn)
             params, _squeeze = self.program_params(chip_id, allocation)
             try:
                 self.controller.chip(chip_id).program_wl(
@@ -800,17 +715,6 @@ class DFTL(PageFTL):
             raise RuntimeError(
                 "DFTL not quiescent: translation writebacks in flight"
             )
-        if self._trans_pending:
-            raise RuntimeError(
-                "DFTL not quiescent: deferred translation work pending"
-            )
-        active = sorted(
-            chip for chip, job in self._trans_gc.items() if job is not None
-        )
-        if active:
-            raise RuntimeError(
-                f"DFTL not quiescent: translation GC active on chips {active}"
-            )
         state = super().variant_state_dict()
         state["dftl"] = {
             "cmt": [[lpn, dirty] for lpn, dirty in self._cmt.items()],
@@ -843,10 +747,6 @@ class DFTL(PageFTL):
         self.dftl_stats = DftlStats(**dftl["stats"])
         self._inflight_trans = {}
         self._inflight_trans_programs = 0
-        self._trans_pending = deque()
-        self._trans_gc = {
-            chip: None for chip in range(self.geometry.n_chips)
-        }
 
     # ------------------------------------------------------------------
     # SPOR recovery
@@ -858,104 +758,22 @@ class DFTL(PageFTL):
         self._trans_cursors = {
             chip: None for chip in range(self.geometry.n_chips)
         }
-        self._trans_gc = {
-            chip: None for chip in range(self.geometry.n_chips)
-        }
         self._inflight_trans = {}
         self._inflight_trans_programs = 0
-        self._trans_pending = deque()
 
-    def spor_recover(self) -> dict:
-        """Rebuild both translation tables from per-page OOB records.
+    def _spor_translation(
+        self, winners: Dict[int, Tuple[int, int]], records: int
+    ) -> dict:
+        """Rebuild the GTD from the winning translation-page records.
 
-        Data pages carry ``(lpn, seq)`` with ``lpn >= 0`` and rebuild
-        the L2P exactly as in :meth:`BaseFTL.spor_recover`; translation
-        pages carry ``(-(tvpn+1), tseq)`` and rebuild the GTD the same
-        way (highest sequence wins, lowest PPN on ties).  Block kinds
-        are rediscovered from the records each block holds.  Finally,
-        any TVPN whose mapped LPNs survived but whose translation page
+        Any TVPN whose mapped LPNs survived but whose translation page
         did not (e.g. writes acknowledged with dirty CMT entries at the
         cut) gets a fresh translation page written during recovery, so
         lookup completeness holds with the CMT starting empty.
         """
-        if not self._store_oob:
-            raise RuntimeError("SPOR recovery requires store_oob=True")
-        if self.mapper.mapped_lpn_count() or self.tmapper.mapped_lpn_count():
-            raise RuntimeError("spor_recover requires a freshly built FTL")
-        from repro.ftl.blockmgr import BlockState
-
-        geometry = self.geometry
-        winners: Dict[int, Tuple[int, int]] = {}
-        twinners: Dict[int, Tuple[int, int]] = {}
-        kind_of_block: Dict[Tuple[int, int], str] = {}
-        records = 0
-        trans_records = 0
-        max_seq = 0
-        max_tseq = 0
-        for chip_id in range(geometry.n_chips):
-            chip = self.controller.chip(chip_id)
-            for (block, wl_index, page), (lpn, seq) in chip.iter_oob():
-                records += 1
-                address = geometry.block.wl_from_index(wl_index)
-                ppn = geometry.ppn(
-                    chip_id,
-                    PageAddress(block, address.layer, address.wl, page),
-                )
-                if lpn < 0:
-                    tvpn = -lpn - 1
-                    trans_records += 1
-                    kind_of_block[(chip_id, block)] = TRANS_KIND
-                    if seq > max_tseq:
-                        max_tseq = seq
-                    best = twinners.get(tvpn)
-                    if best is None or (seq, -ppn) > (best[0], -best[1]):
-                        twinners[tvpn] = (seq, ppn)
-                else:
-                    kind_of_block[(chip_id, block)] = DATA_KIND
-                    if seq > max_seq:
-                        max_seq = seq
-                    best = winners.get(lpn)
-                    if best is None or (seq, -ppn) > (best[0], -best[1]):
-                        winners[lpn] = (seq, ppn)
-        for lpn in sorted(winners):
-            self.mapper.bind(lpn, winners[lpn][1])
-        for tvpn in sorted(twinners):
-            self.tmapper.bind(tvpn, twinners[tvpn][1])
-        free: Dict[int, List[int]] = {}
-        states: Dict[int, List[str]] = {}
-        kinds: Dict[int, List[str]] = {}
-        full_blocks = 0
-        for chip_id in range(geometry.n_chips):
-            chip = self.controller.chip(chip_id)
-            chip_states: List[str] = []
-            chip_free: List[int] = []
-            chip_kinds: List[str] = []
-            for block in range(geometry.blocks_per_chip):
-                if chip.programmed_wl_count(block) > 0:
-                    chip_states.append(BlockState.FULL.value)
-                    chip_kinds.append(
-                        kind_of_block.get((chip_id, block), DATA_KIND)
-                    )
-                    full_blocks += 1
-                else:
-                    chip_states.append(BlockState.FREE.value)
-                    chip_kinds.append(DATA_KIND)
-                    chip_free.append(block)
-            states[chip_id] = chip_states
-            free[chip_id] = chip_free
-            kinds[chip_id] = chip_kinds
-        self.blocks.load_state_dict(
-            {
-                "free": free,
-                "state": states,
-                "failing": {chip: [] for chip in free},
-                "retired_reasons": {chip: {} for chip in free},
-                "kind": kinds,
-            }
-        )
-        self._post_spor_reset()
-        self._write_seq = max_seq
-        self._trans_seq = max_tseq
+        for tvpn in sorted(winners):
+            self.tmapper.bind(tvpn, winners[tvpn][1])
+        self._trans_seq = max((seq for seq, _ppn in winners.values()), default=0)
         per_tpage = self.mappings_per_tpage
         synthesized = 0
         for tvpn in sorted(
@@ -970,15 +788,11 @@ class DFTL(PageFTL):
         # slack block is enough, here the translation blocks consumed
         # it.  Kick GC now so the first replayed write has somewhere to
         # go; on a healthy pool this is a no-op.
-        for chip_id in range(geometry.n_chips):
+        for chip_id in range(self.geometry.n_chips):
             self._maybe_gc(chip_id)
         return {
-            "oob_records": records,
-            "mapped_lpns": len(winners),
-            "full_blocks": full_blocks,
-            "max_seq": max_seq,
-            "trans_records": trans_records,
-            "trans_pages": len(twinners),
+            "trans_records": records,
+            "trans_pages": len(winners),
             "synthesized_tpages": synthesized,
-            "max_trans_seq": max_tseq,
+            "max_trans_seq": self._trans_seq,
         }

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.ftl.blockmgr import (
+    GC_RESERVE_BLOCKS,
+    TRANS_KIND,
     BlockManager,
     BlockState,
     OutOfSpaceError,
@@ -181,3 +183,57 @@ class TestVictimSelection:
         manager.take_free(0)  # active, never marked full
         with pytest.raises(OutOfSpaceError):
             manager.select_victim(0, mapper)
+
+
+class TestGCReserve:
+    """The one rule for a chip's last free blocks."""
+
+    @staticmethod
+    def _down_to_reserve(manager):
+        while manager.free_count(0) > GC_RESERVE_BLOCKS:
+            manager.mark_full(0, manager.take_free(0, for_gc=False))
+
+    @pytest.mark.parametrize("kind", ["data", TRANS_KIND])
+    def test_host_or_writeback_take_at_reserve_refused(self, manager, kind):
+        self._down_to_reserve(manager)
+        assert not manager.can_take(0, for_gc=False)
+        with pytest.raises(OutOfSpaceError, match="free=1"):
+            manager.take_free(0, kind=kind, for_gc=False)
+        assert manager.free_count(0) == GC_RESERVE_BLOCKS
+
+    def test_gc_destination_take_at_reserve_succeeds(self, manager):
+        self._down_to_reserve(manager)
+        assert manager.can_take(0, for_gc=True)
+        block = manager.take_free(0, for_gc=True)
+        assert manager.state(0, block) is BlockState.ACTIVE
+        assert manager.free_count(0) == 0
+        assert not manager.can_take(0, for_gc=True)
+
+    def test_uncovered_gc_job_does_not_start(self, manager, ssd_geometry):
+        wls = ssd_geometry.block.wls_per_block
+        self._down_to_reserve(manager)
+        # the reserved block covers any victim's live pages
+        assert manager.gc_covered(0, dest_wls=0, needed_wls=wls)
+        manager.take_free(0, for_gc=True)
+        # with the pool empty only the destination cursor's WLs count
+        assert not manager.gc_covered(0, dest_wls=wls - 1, needed_wls=wls)
+        assert manager.gc_covered(0, dest_wls=wls, needed_wls=wls)
+
+    def test_retired_victim_leaves_reserve_intact(self, manager):
+        self._down_to_reserve(manager)
+        victim = manager.full_blocks(0)[0]
+        manager.mark_failing(0, victim)
+        manager.retire(0, victim, reason="program_fail")
+        # retiring frees nothing, and takes nothing from the reserve
+        assert manager.free_count(0) == GC_RESERVE_BLOCKS
+        assert not manager.can_take(0, for_gc=False)
+        assert manager.can_take(0, for_gc=True)
+
+    def test_describe_counts_state_by_kind(self, manager, ssd_geometry):
+        data = manager.take_free(0, for_gc=False)
+        manager.mark_full(0, data)
+        manager.take_free(0, kind=TRANS_KIND, for_gc=False)
+        free = ssd_geometry.blocks_per_chip - 2
+        assert manager.describe(0) == (
+            f"active/trans=1 free={free} full/data=1"
+        )

@@ -13,17 +13,21 @@ runs are seeded and deterministic:
   read ever returned different data);
 - both mapping tables (host L2P and the GTD) pass ``audit()`` and the
   variant invariant after every fuzz-style run.
+
+A seeded steady-state run, with translation and data GC sharing one
+free pool, must also end in pageFTL's logical state at any CMT size.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import run_spec
 from repro.check import InvariantChecker, parse_check_level
 from repro.check.fuzz import random_trace
-from repro.specs import HostSpec, RunOptions, SimulationSpec
+from repro.specs import HostSpec, RunOptions, SimulationSpec, WorkloadSpec
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
 
@@ -129,3 +133,38 @@ def test_both_mappers_audit_clean_after_fuzz_run(seed, capacity):
     assert sim.ftl.mapper.audit() is None
     assert sim.ftl.tmapper.audit() is None
     assert sim.ftl.audit_variant() is None
+
+
+#: the shortest run (to 100 requests) of ``simulate --ftl dftl --workload
+#: OLTP --warmup 1000 --blocks-per-chip 16 --prefill 0.7`` that once
+#: exhausted a chip, when translation GC and data GC raced for its last
+#: free blocks
+STEADY_REQUESTS = 11200
+
+
+def _steady_spec(ftl, **ftl_kwargs):
+    geometry = dataclasses.replace(SSDConfig().geometry, blocks_per_chip=16)
+    return SimulationSpec(
+        config=SSDConfig(geometry=geometry),
+        workload=WorkloadSpec("OLTP", n_requests=STEADY_REQUESTS),
+        ftl=ftl,
+        warmup_requests=1000,
+        prefill=0.7,
+        options=RunOptions(check="strict"),
+        ftl_kwargs=ftl_kwargs,
+    )
+
+
+@pytest.fixture(scope="module")
+def page_steady_digest():
+    result = run_spec(_steady_spec("page"))
+    assert result.check["violations"] == 0
+    return result.check["state_digest"]
+
+
+@pytest.mark.parametrize("capacity", [1, 64, 100_000])
+def test_steady_state_matches_pageftl(capacity, page_steady_digest):
+    result = run_spec(_steady_spec("dftl", cmt_capacity=capacity))
+    assert result.stats.completed_requests == STEADY_REQUESTS - 1000
+    assert result.check["violations"] == 0
+    assert result.check["state_digest"] == page_steady_digest

@@ -1,7 +1,10 @@
 """Tests for bad-block retirement."""
 
 
-from repro.ftl.blockmgr import BlockManager, BlockState
+import pytest
+
+from repro.ftl.base import _GCJob
+from repro.ftl.blockmgr import DATA_KIND, BlockManager, BlockState, OutOfSpaceError
 from repro.ssd.config import SSDConfig
 from repro.ssd.controller import SSDSimulation
 from repro.workloads.synthetic import uniform_random_trace
@@ -75,3 +78,52 @@ class TestEndToEndRetirement:
             assert all(reason == "wear" for reason in table.values())
         assert sim.ftl.recovery.blocks_retired == 0
         sim.ftl.mapper.check_invariants()
+
+
+class TestOutOfSpaceMessage:
+    """When no allocation and no GC job can proceed, the error names the
+    chip's blocks by state x kind and its GC job."""
+
+    @staticmethod
+    def _drained(ftl):
+        while ftl.blocks.free_count(0):
+            ftl.blocks.mark_full(0, ftl.blocks.take_free(0))
+
+    def test_host_allocation_names_blocks(self):
+        sim = SSDSimulation(SSDConfig.small(), ftl="page")
+        self._drained(sim.ftl)
+        full = sim.config.geometry.blocks_per_chip
+        with pytest.raises(OutOfSpaceError) as info:
+            sim.ftl._ensure_active_blocks(0)
+        message = str(info.value)
+        assert f"chip 0 is out of space: free=0 full/data={full}" in message
+        assert "no GC job in flight" in message
+
+    def test_gc_destination_names_job_in_flight(self):
+        sim = SSDSimulation(SSDConfig.small(), ftl="page")
+        self._drained(sim.ftl)
+        sim.ftl._gc_jobs[0] = _GCJob(5, DATA_KIND, [(0, 0), (1, 1)])
+        with pytest.raises(OutOfSpaceError) as info:
+            sim.ftl._take_free_block(0, DATA_KIND, for_gc=True)
+        assert "GC job on data block 5 with 2 pages left" in str(info.value)
+
+    def test_worn_out_drive_names_uncovered_job(self):
+        """End to end: with a 1-erase endurance, retirements eat the
+        reserve until a victim's live pages no longer fit anywhere."""
+        config = SSDConfig.small(
+            logical_fraction=0.45,
+            gc_trigger_blocks=3,
+            wear_aware_allocation=False,
+        )
+        sim = SSDSimulation(config, ftl="page")
+        for chip in sim.controller.chips:
+            chip.erase_limit = 1
+        sim.prefill(1.0)
+        trace = uniform_random_trace(
+            config.logical_pages, 2400, read_fraction=0.1, seed=9
+        )
+        with pytest.raises(OutOfSpaceError) as info:
+            sim.run(trace, queue_depth=8)
+        message = str(info.value)
+        assert "free=0" in message and "retired/data=" in message
+        assert "cannot start: its destination is not covered" in message
